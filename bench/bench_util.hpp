@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -38,23 +39,49 @@ struct BenchArgs {
   int shards = 0;
 };
 
+/// Parses `text` as a whole number no larger than `max`; anything else
+/// (empty, signed, fractional, trailing junk, overflow) ends the bench
+/// with exit status 2 rather than silently running a different config.
+inline std::uint64_t whole_number_arg(const char* what, const char* text,
+                                      std::uint64_t max = UINT64_MAX) {
+  std::uint64_t v = 0;
+  bool ok = text != nullptr && *text != '\0';
+  for (const char* p = text; ok && *p != '\0'; ++p) {
+    const auto digit = static_cast<std::uint64_t>(*p - '0');
+    ok = *p >= '0' && *p <= '9' && v <= (max - digit) / 10;
+    v = v * 10 + digit;
+  }
+  if (!ok) {
+    std::fprintf(stderr, "%s must be a whole number in [0, %llu], got '%s'\n",
+                 what, static_cast<unsigned long long>(max),
+                 text != nullptr ? text : "");
+    std::exit(2);
+  }
+  return v;
+}
+
+/// Parses the shared flags.  Other `--` flags are left to the bench
+/// (abl_macro_scale's --full, --machines=N, ...).
 inline BenchArgs parse_args(int argc, char** argv) {
   BenchArgs a;
+  const auto count = [](const char* what, const char* text) {
+    return static_cast<int>(whole_number_arg(what, text, 1 << 16));
+  };
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      a.jobs = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
-    } else if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
-      a.jobs = static_cast<int>(std::strtol(argv[i] + 7, nullptr, 10));
-    } else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-      a.shards = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
-    } else if (std::strncmp(argv[i], "--shards=", 9) == 0) {
-      a.shards = static_cast<int>(std::strtol(argv[i] + 9, nullptr, 10));
-    } else if (argv[i][0] != '-') {
-      a.seed = std::strtoull(argv[i], nullptr, 10);
+    const char* arg = argv[i];
+    if (std::strcmp(arg, "--jobs") == 0) {
+      a.jobs = count("--jobs", i + 1 < argc ? argv[++i] : nullptr);
+    } else if (std::strncmp(arg, "--jobs=", 7) == 0) {
+      a.jobs = count("--jobs", arg + 7);
+    } else if (std::strcmp(arg, "--shards") == 0) {
+      a.shards = count("--shards", i + 1 < argc ? argv[++i] : nullptr);
+    } else if (std::strncmp(arg, "--shards=", 9) == 0) {
+      a.shards = count("--shards", arg + 9);
+    } else if (arg[0] != '-') {
+      a.seed = whole_number_arg("seed", arg);
     }
   }
   if (a.jobs < 1) a.jobs = 1;
-  if (a.shards < 0) a.shards = 0;
   return a;
 }
 
@@ -127,7 +154,7 @@ inline const std::vector<std::uint32_t>& message_sizes() {
 }
 
 inline std::uint64_t seed_from_args(int argc, char** argv) {
-  return argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 42;
+  return argc > 1 ? whole_number_arg("seed", argv[1]) : 42;
 }
 
 /// Per-run datapath statistics emitted into every bench's JSON: engine

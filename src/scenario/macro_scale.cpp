@@ -719,9 +719,13 @@ MacroScaleResult run_macro_scale(const MacroScaleConfig& config) {
   conductor.run_until(traffic_end);
   const auto wall1 = std::chrono::steady_clock::now();
   out.wall_seconds = std::chrono::duration<double>(wall1 - wall0).count();
+  // The self-chaining closures hold shared_ptrs to themselves; break each
+  // cycle so the world's teardown frees them.
   for (auto& d : streams) {
-    if (d->send_chain != nullptr) *d->send_chain = nullptr;  // break cycle
+    if (d->send_chain != nullptr) *d->send_chain = nullptr;
   }
+  for (auto& tick : ticks) *tick = nullptr;
+  for (auto& pump : pumps) *pump = nullptr;
 
   // ---- aggregate, in machine / server order ----------------------------
   std::vector<std::pair<sim::TimePoint, int>> sweep;  // (t, 0=arrive 1=done)
@@ -775,6 +779,10 @@ MacroScaleResult run_macro_scale(const MacroScaleConfig& config) {
   }
   out.events_total = conductor.total_events();
   out.per_shard_events = conductor.per_shard_events();
+  for (int s = 0; s < conductor.shards(); ++s) {
+    out.clamped_events += conductor.shard(s).clamped_events();
+    out.clamped_keyed_events += conductor.shard(s).clamped_keyed_events();
+  }
   const sim::ConductorStats cstats = conductor.stats();
   out.epochs = cstats.epochs;
   out.cross_posts = conductor.cross_posts();

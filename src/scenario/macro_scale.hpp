@@ -150,6 +150,11 @@ struct MacroScaleResult {
   /// Per-worker nanoseconds spent waiting at epoch barriers (wall clock:
   /// host-dependent, never gate it).
   std::vector<std::uint64_t> barrier_wait_ns;
+  /// Past instants the shard engines clamped to now, over the whole run
+  /// (Engine::clamped_events); the keyed ones are cross-machine frames
+  /// that arrived late, which a sound lookahead never allows.
+  std::uint64_t clamped_events = 0;
+  std::uint64_t clamped_keyed_events = 0;
   double wall_seconds = 0;
 };
 

@@ -23,8 +23,8 @@ std::uint64_t Engine::run_until(TimePoint deadline) {
   const bool was_running = running_;
   running_ = true;
   std::uint64_t n = 0;
-  // next_time() is read once per iteration (it already discards cancelled
-  // entries, so pop_and_run's own dead-prefix scan finds a live top).
+  // next_time() is read once per iteration; it only peeks, so stopping at
+  // the deadline leaves the queue's current window at the present.
   while (!queue_.empty()) {
     const TimePoint t = queue_.next_time();
     if (t > deadline) break;

@@ -24,16 +24,21 @@ class Engine {
 
   /// Schedules `action` to run `delay` nanoseconds from now.  The task
   /// rides down to the queue slot by reference, so a scheduled closure is
-  /// moved exactly once (plus once more when it fires).
+  /// moved exactly once; it fires in place in that slot.
   EventId schedule_in(Duration delay, InlineTask&& action) {
     return queue_.schedule(now_ + delay, std::move(action));
   }
 
   /// Schedules `action` at an absolute simulated instant.  Instants in the
   /// past are clamped to "now" (the event still fires, deterministically
-  /// after already-queued events for the current instant).
+  /// after already-queued events for the current instant) and counted in
+  /// clamped_events().
   EventId schedule_at(TimePoint when, InlineTask&& action) {
-    return queue_.schedule(when < now_ ? now_ : when, std::move(action));
+    if (when < now_) {
+      when = now_;
+      ++clamped_;
+    }
+    return queue_.schedule(when, std::move(action));
   }
 
   /// Schedules at an absolute instant with an explicit same-instant
@@ -41,10 +46,16 @@ class Engine {
   /// this so a frame's delivery order at a shared device is a function of
   /// the frame — (link rank, link sequence) — and not of whether a single
   /// engine or a conductor mailbox carried it (DESIGN.md section 10).
+  /// Past instants are clamped like schedule_at's and counted in both
+  /// clamped_events() and clamped_keyed_events().
   EventId schedule_at_keyed(TimePoint when, std::uint64_t key,
                             InlineTask&& action) {
-    return queue_.schedule_keyed(when < now_ ? now_ : when, key,
-                                 std::move(action));
+    if (when < now_) {
+      when = now_;
+      ++clamped_;
+      ++clamped_keyed_;
+    }
+    return queue_.schedule_keyed(when, key, std::move(action));
   }
 
   void cancel(EventId id) { queue_.cancel(id); }
@@ -85,6 +96,14 @@ class Engine {
   void note_coalesced(std::uint64_t saved) { coalesced_ += saved; }
   [[nodiscard]] std::uint64_t events_coalesced() const { return coalesced_; }
 
+  /// Past instants schedule_at and schedule_at_keyed moved up to now.  A
+  /// keyed clamp is a cross-machine frame that arrived in its engine's
+  /// past — under the sharded conductor, a lookahead violation.
+  [[nodiscard]] std::uint64_t clamped_events() const { return clamped_; }
+  [[nodiscard]] std::uint64_t clamped_keyed_events() const {
+    return clamped_keyed_;
+  }
+
  private:
   // Index loop: deferred actions may push more (vector may reallocate).
   void run_deferred() {
@@ -99,6 +118,8 @@ class Engine {
   TimePoint now_ = 0;
   std::uint64_t executed_ = 0;
   std::uint64_t coalesced_ = 0;
+  std::uint64_t clamped_ = 0;
+  std::uint64_t clamped_keyed_ = 0;
   std::vector<InlineTask> deferred_;
   bool running_ = false;
 };

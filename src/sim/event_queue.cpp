@@ -7,13 +7,14 @@ namespace nestv::sim {
 void EventQueue::cancel(EventId id) {
   const auto slot = static_cast<std::uint32_t>(id & 0xffffffffu);
   const auto gen = static_cast<std::uint32_t>(id >> 32);
-  // Ids that already fired (or were never scheduled) no longer match their
-  // slot's generation and are ignored, so self-cancelling timers are
-  // harmless.
-  if (slot >= slots_.size()) return;
-  Slot& s = slots_[slot];
-  if (!s.live || s.gen != gen) return;
-  release_slot(slot);
+  // Ids that already fired, are running, or were never scheduled no longer
+  // match their slot's generation and are ignored, so self-cancelling
+  // timers are harmless.  Even generations belong to idle or running slots
+  // and never appear in a handed-out id.
+  if ((gen & 1) == 0 || slot >= gens_.size() || gens_[slot] != gen) return;
+  ++gens_[slot];
+  task_at(slot).reset();
+  free_.push_back(slot);
   --live_;
 }
 

@@ -20,6 +20,7 @@
 #include "scenario/datacenter_macro.hpp"
 #include "scenario/macro_scale.hpp"
 #include "sim/sharded_conductor.hpp"
+#include "sim/test_hooks.hpp"
 
 namespace nestv {
 namespace {
@@ -331,29 +332,31 @@ TEST(ShardedMacro, WorkerCountIsInvisibleInResults) {
   expect_identical(w1, run_macro(4, 4));
 }
 
+/// A small two-rack macro-scale world (8 machines, 2 spines, 96 flows).
+scenario::MacroScaleResult run_macro_smoke(int shards) {
+  scenario::MacroScaleConfig cfg;
+  cfg.seed = 7;
+  cfg.machines = 8;
+  cfg.machines_per_rack = 4;
+  cfg.spines = 2;
+  cfg.trace_users = 12;
+  cfg.flows = 96;
+  cfg.arrival_window = sim::milliseconds(40);
+  cfg.drain = sim::milliseconds(30);
+  cfg.tcp_streams = 1;
+  cfg.shards = shards;
+  cfg.max_workers = static_cast<unsigned>(shards);
+  return scenario::run_macro_scale(cfg);
+}
+
 TEST(ShardedMacro, MacroSmokeTopologyBitIdenticalAcrossShards) {
-  // The macro-scale topology exercises everything this PR added at once:
+  // The macro-scale topology exercises the whole conductor at once:
   // note_cross_link-fed per-pair windows (fabric hop + spine links),
   // distributed spine hosting (FabricConfig::distribute_spines defaults
   // on), and the fused epoch loop.  All of it must be invisible in the
   // simulated outputs.
-  auto run = [](int shards) {
-    scenario::MacroScaleConfig cfg;
-    cfg.seed = 7;
-    cfg.machines = 8;
-    cfg.machines_per_rack = 4;
-    cfg.spines = 2;
-    cfg.trace_users = 12;
-    cfg.flows = 96;
-    cfg.arrival_window = sim::milliseconds(40);
-    cfg.drain = sim::milliseconds(30);
-    cfg.tcp_streams = 1;
-    cfg.shards = shards;
-    cfg.max_workers = static_cast<unsigned>(shards);
-    return scenario::run_macro_scale(cfg);
-  };
-  const auto base = run(1);
-  const auto sharded = run(4);
+  const auto base = run_macro_smoke(1);
+  const auto sharded = run_macro_smoke(4);
   EXPECT_BITS_EQ(base.flow_digest, sharded.flow_digest);
   EXPECT_BITS_EQ(base.rr_transactions, sharded.rr_transactions);
   EXPECT_BITS_EQ(base.rr_latency_ns_sum, sharded.rr_latency_ns_sum);
@@ -366,6 +369,24 @@ TEST(ShardedMacro, MacroSmokeTopologyBitIdenticalAcrossShards) {
   EXPECT_EQ(sharded.drained_posts, sharded.cross_posts);
   ASSERT_EQ(sharded.idle_windows.size(), 4u);
   ASSERT_EQ(sharded.barrier_wait_ns.size(), 4u);
+}
+
+TEST(ShardedMacro, MacroSmokeNeverClampsAKeyedArrival) {
+  // Every cross-shard frame is drained before its destination's clock
+  // reaches it, so no keyed delivery lands in an engine's past.
+  const auto r = run_macro_smoke(4);
+  EXPECT_GT(r.cross_posts, 0u);
+  EXPECT_EQ(r.clamped_keyed_events, 0u);
+}
+
+TEST(ShardedMacro, LookaheadOverrunShowsUpAsKeyedClamps) {
+  // The injected lookahead bug lets windows overrun true arrival times;
+  // the late frames are clamped to now, and the count says so.
+  sim::test_hooks::lookahead_matrix_overrun = true;
+  const auto r = run_macro_smoke(4);
+  sim::test_hooks::reset();
+  EXPECT_GT(r.clamped_keyed_events, 0u);
+  EXPECT_GE(r.clamped_events, r.clamped_keyed_events);
 }
 
 TEST(ShardedMacro, ReportsExecutionShape) {

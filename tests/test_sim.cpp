@@ -151,6 +151,18 @@ TEST(Engine, ScheduleAtPastClampsToNow) {
   EXPECT_EQ(e.now(), 100u);
 }
 
+TEST(Engine, CountsClampedInstants) {
+  Engine e;
+  e.schedule_in(100, [] {});
+  e.run();
+  e.schedule_at(100, [] {});  // now: not a clamp
+  e.schedule_at(50, [] {});
+  e.schedule_at_keyed(60, 1, [] {});
+  e.run();
+  EXPECT_EQ(e.clamped_events(), 2u);
+  EXPECT_EQ(e.clamped_keyed_events(), 1u);
+}
+
 TEST(Engine, EventsCanScheduleEvents) {
   Engine e;
   int depth = 0;
