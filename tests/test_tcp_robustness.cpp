@@ -182,11 +182,16 @@ TEST(TcpCc, WindowAccessorWithoutCc) {
 
 // ---- property sweep: all bytes always arrive, any loss rate, any seed -------
 
+// gtest names each case by dumping this struct's bytes, so the padding after
+// `cc` is an explicit zeroed member: implicit padding is uninitialised and
+// would give the cases different names from one listing to the next.
 struct LossCase {
   double loss;
   bool cc;
+  std::uint8_t zero_pad[7];
   std::uint64_t seed;
 };
+static_assert(sizeof(LossCase) == 24, "LossCase must have no implicit padding");
 
 class LossSweep : public ::testing::TestWithParam<LossCase> {};
 
@@ -202,10 +207,11 @@ TEST_P(LossSweep, ExactDeliveryAlways) {
 
 INSTANTIATE_TEST_SUITE_P(
     Cases, LossSweep,
-    ::testing::Values(LossCase{0.0, false, 1}, LossCase{0.01, false, 2},
-                      LossCase{0.05, false, 3}, LossCase{0.01, true, 4},
-                      LossCase{0.05, true, 5}, LossCase{0.10, true, 6},
-                      LossCase{0.10, false, 7}, LossCase{0.02, true, 8}));
+    ::testing::Values(
+        LossCase{0.0, false, {}, 1}, LossCase{0.01, false, {}, 2},
+        LossCase{0.05, false, {}, 3}, LossCase{0.01, true, {}, 4},
+        LossCase{0.05, true, {}, 5}, LossCase{0.10, true, {}, 6},
+        LossCase{0.10, false, {}, 7}, LossCase{0.02, true, {}, 8}));
 
 }  // namespace
 }  // namespace nestv::net
