@@ -310,16 +310,9 @@ std::uint64_t sum_u64(const std::vector<std::uint64_t>& v) {
   return s;
 }
 
-nestv::bench::JsonReport::ConductorInfo conductor_info(
-    const MacroScaleResult& r) {
-  nestv::bench::JsonReport::ConductorInfo info;
-  info.epochs = r.epochs;
-  info.fused_epochs = r.fused_epochs;
-  info.cross_posts = r.cross_posts;
-  info.drained_posts = r.drained_posts;
-  info.idle_windows = r.idle_windows;
-  info.barrier_wait_ns = r.barrier_wait_ns;
-  return info;
+nestv::sim::ConductorStats conductor_info(const MacroScaleResult& r) {
+  return {r.epochs,       r.fused_epochs, r.cross_posts, r.drained_posts,
+          r.idle_windows, r.barrier_wait_ns};
 }
 
 /// Wall-clock speedup numbers only mean something when every worker can
@@ -431,9 +424,11 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--full") == 0) {
       full = true;
     } else if (std::strncmp(argv[i], "--machines=", 11) == 0) {
-      machines = static_cast<int>(std::strtol(argv[i] + 11, nullptr, 10));
+      machines = static_cast<int>(
+          bench::whole_number_arg("--machines", argv[i] + 11, 1 << 16));
     } else if (std::strncmp(argv[i], "--flows=", 8) == 0) {
-      flows = static_cast<int>(std::strtol(argv[i] + 8, nullptr, 10));
+      flows = static_cast<int>(
+          bench::whole_number_arg("--flows", argv[i] + 8, 1 << 30));
     }
   }
   const MacroScaleConfig base = base_config(args.seed, full, machines, flows);

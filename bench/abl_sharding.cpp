@@ -88,16 +88,9 @@ void print_point(const DatacenterMacroResult& r, double delta) {
       events_per_sec(r), delta);
 }
 
-nestv::bench::JsonReport::ConductorInfo conductor_info(
-    const DatacenterMacroResult& r) {
-  nestv::bench::JsonReport::ConductorInfo info;
-  info.epochs = r.epochs;
-  info.fused_epochs = r.fused_epochs;
-  info.cross_posts = r.cross_posts;
-  info.drained_posts = r.drained_posts;
-  info.idle_windows = r.idle_windows;
-  info.barrier_wait_ns = r.barrier_wait_ns;
-  return info;
+nestv::sim::ConductorStats conductor_info(const DatacenterMacroResult& r) {
+  return {r.epochs,       r.fused_epochs, r.cross_posts, r.drained_posts,
+          r.idle_windows, r.barrier_wait_ns};
 }
 
 void add_sim_outputs(nestv::bench::JsonReport& report,

@@ -28,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_args.hpp"
 #include "json_report.hpp"
 #include "net/bridge.hpp"
 #include "net/faststack.hpp"
@@ -307,8 +308,9 @@ Consolidation consolidation_point(int guests) {
 
 int main(int argc, char** argv) {
   const std::uint64_t seed =
-      argc > 1 && argv[1][0] != '-' ? std::strtoull(argv[1], nullptr, 10)
-                                    : 42;
+      argc > 1 && argv[1][0] != '-'
+          ? nestv::bench::whole_number_arg("seed", argv[1])
+          : 42;
   (void)seed;  // the scenarios are closed-form; seed is reported only
 
   const std::uint32_t sizes[] = {64, 256, 512, 1024, 1280, 1408};

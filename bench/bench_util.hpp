@@ -19,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_args.hpp"
 #include "json_report.hpp"
 #include "net/packet_pool.hpp"
 #include "scenario/cross_vm.hpp"
@@ -38,27 +39,6 @@ struct BenchArgs {
   int jobs = 1;
   int shards = 0;
 };
-
-/// Parses `text` as a whole number no larger than `max`; anything else
-/// (empty, signed, fractional, trailing junk, overflow) ends the bench
-/// with exit status 2 rather than silently running a different config.
-inline std::uint64_t whole_number_arg(const char* what, const char* text,
-                                      std::uint64_t max = UINT64_MAX) {
-  std::uint64_t v = 0;
-  bool ok = text != nullptr && *text != '\0';
-  for (const char* p = text; ok && *p != '\0'; ++p) {
-    const auto digit = static_cast<std::uint64_t>(*p - '0');
-    ok = *p >= '0' && *p <= '9' && v <= (max - digit) / 10;
-    v = v * 10 + digit;
-  }
-  if (!ok) {
-    std::fprintf(stderr, "%s must be a whole number in [0, %llu], got '%s'\n",
-                 what, static_cast<unsigned long long>(max),
-                 text != nullptr ? text : "");
-    std::exit(2);
-  }
-  return v;
-}
 
 /// Parses the shared flags.  Other `--` flags are left to the bench
 /// (abl_macro_scale's --full, --machines=N, ...).

@@ -1,20 +1,15 @@
 // Compact connection-tracking store: one open-addressed tuple index over
-// slab-allocated entries.
+// slab-allocated entries (the shared storage in net/slab_table.hpp).
 //
 // The original conntrack kept two node-based maps — tuple -> id and
 // id -> entry — so every tracked flow paid three heap nodes (orig tuple,
 // reply tuple, entry) plus two bucket arrays, and the SNAT port allocator
-// scanned the whole tuple map per candidate.  At the macro scale this
-// repo now targets (hundreds of machines, ~10^5..10^6 concurrent flows)
-// that footprint and scan dominate; ONCache (PAPERS.md) makes the same
-// observation for overlay datapaths.  This store keeps the exact external
-// semantics (ids are opaque, both tuples of a confirmed connection resolve
-// to one entry, gc reaps by idle time) with:
+// scanned the whole tuple map per candidate.  This store keeps the exact
+// external semantics (ids are opaque, both tuples of a confirmed
+// connection resolve to one entry, gc reaps by idle time) with:
 //
-//   * a slab arena of fixed-size entry slots (chunked, stable addresses,
-//     LIFO free list) — no per-entry heap nodes;
-//   * one open-addressed index of 8-byte buckets (tag + slot ref) covering
-//     both tuple directions — no node-based maps;
+//   * a SlabArena of 72-byte entry slots — no per-entry heap nodes;
+//   * one SlotIndex covering both tuple directions — no node-based maps;
 //   * ids encoding (slot, generation), so id lookup (the packet fast path
 //     and the flow-cache liveness check) is O(1) with no hashing;
 //   * a flat (proto, ip, port) occupancy index mirroring the registered
@@ -26,12 +21,11 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <utility>
 #include <vector>
 
 #include "net/address.hpp"
 #include "net/packet.hpp"
+#include "net/slab_table.hpp"
 #include "sim/time.hpp"
 
 namespace nestv::net {
@@ -115,7 +109,7 @@ class ConnTable {
                                  std::uint16_t port);
 
   /// Slot-order iteration bound (slots in [0, slot_count()) may be free).
-  [[nodiscard]] std::size_t slot_count() const { return slots_used_; }
+  [[nodiscard]] std::size_t slot_count() const { return slots_.used(); }
   /// Ref for slot `i`, or null when the slot is free.
   [[nodiscard]] Ref at_slot(std::size_t i);
 
@@ -123,63 +117,26 @@ class ConnTable {
   [[nodiscard]] std::size_t state_bytes() const;
 
  private:
-  /// Slab chunks grow in a shallow geometric sequence — four chunks per
-  /// size doubling (8, 8, 8, 8, 16, 16, ... slots) — so a stack that
-  /// tracks three flows pays for 8 slots, and a table sampled at an
-  /// arbitrary occupancy carries at most ~25% allocated-but-unused slot
-  /// slack (a plain doubling sequence averages ~2x that).  Matters when a
-  /// macro-scale run holds hundreds of mostly-idle stacks; busy tables
-  /// still get amortized O(1) growth.  Addresses stay stable.
-  static constexpr std::uint32_t kFirstChunkSlots = 8;
-  static constexpr std::uint32_t kChunksPerDoubling = 4;
-  static constexpr std::uint32_t kFreeEnd = 0xffffffffU;
   static constexpr std::uint32_t kOccupied = 0xfffffffeU;
-  static constexpr std::uint32_t kEmptyRef = 0;
-  static constexpr std::uint32_t kTombRef = 0xffffffffU;
 
   struct Slot {
     ConnEntry entry;
     std::uint32_t gen = 0;
-    /// kOccupied while live; otherwise next free slot (kFreeEnd = none).
-    std::uint32_t next_free = kFreeEnd;
+    /// kOccupied while live; otherwise the free-list link.
+    std::uint32_t next = kNoSlot;
   };
+  static_assert(sizeof(Slot) == 72, "conntrack state_bytes() gates pin this");
 
-  /// Tuple-index bucket: slot+1 (kEmptyRef empty, kTombRef erased).  No
-  /// stored tag/hash: probes verify against the slot's own tuples, and
-  /// erase-by-(key, slot) stays unambiguous because a slot's two bindings
-  /// are only ever erased together (see index_erase).
-  using Bucket = std::uint32_t;
-
-  /// Slot s lives in the chunk whose base is the largest <= s; chunks are
-  /// few (the sequence above), and hot slots sit in the last chunks, so a
-  /// reverse scan of the base table beats closed-form arithmetic here.
-  [[nodiscard]] std::pair<std::size_t, std::size_t> chunk_of(
-      std::uint32_t s) const {
-    std::size_t c = chunk_bases_.size() - 1;
-    while (chunk_bases_[c] > s) --c;
-    return {c, s - chunk_bases_[c]};
-  }
-  [[nodiscard]] Slot& slot(std::uint32_t s) {
-    const auto [c, off] = chunk_of(s);
-    return chunks_[c][off];
-  }
-  [[nodiscard]] const Slot& slot(std::uint32_t s) const {
-    const auto [c, off] = chunk_of(s);
-    return chunks_[c][off];
-  }
   [[nodiscard]] static std::uint64_t id_of(std::uint32_t s,
                                            std::uint32_t gen) {
     return (std::uint64_t{gen} << 32) | (s + 1);
   }
-  /// Slot of `id`, or kFreeEnd when the id is stale.
+  /// Slot of `id`, or kNoSlot when the id is stale.
   [[nodiscard]] std::uint32_t slot_of(std::uint64_t id) const;
   [[nodiscard]] bool slot_has_tuple(std::uint32_t s,
                                     const ConnKey& key) const;
 
-  std::uint32_t alloc_slot();
   void index_insert(const ConnKey& key, std::uint32_t s);
-  void index_erase(const ConnKey& key, std::uint32_t s);
-  void index_grow();
 
   [[nodiscard]] static std::uint64_t port_key(L4Proto proto, Ipv4Address ip,
                                               std::uint16_t port) {
@@ -192,16 +149,11 @@ class ConnTable {
   void port_grow();
   void ports_build();
 
-  std::vector<std::unique_ptr<Slot[]>> chunks_;
-  std::vector<std::uint32_t> chunk_bases_;  ///< first slot of each chunk
-  std::uint32_t slots_used_ = 0;   ///< high-water slot count
-  std::uint32_t slots_cap_ = 0;    ///< slots allocated across chunks
-  std::uint32_t free_head_ = kFreeEnd;
+  SlabArena<Slot> slots_;
   std::size_t live_ = 0;
-
-  std::vector<Bucket> buckets_;
-  std::size_t index_live_ = 0;   ///< occupied buckets
-  std::size_t index_dead_ = 0;   ///< tombstones
+  /// Tuple index, empty until the first create().  A slot's two bindings
+  /// are only ever erased together, so erase by (key, slot) is unambiguous.
+  SlotIndex index_;
 
   /// Port-occupancy map, split into parallel arrays (12 bytes per bucket
   /// instead of a padded 16-byte struct): port_keys_[i] holds the packed

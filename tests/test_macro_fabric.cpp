@@ -1,15 +1,18 @@
-// Macro-scale layers: the compact per-flow state stores (ConnTable, the
-// slab FlowCache), the hierarchical fabric's deterministic ECMP, and the
-// churn scenario's execution-mode equivalence (shards / worker counts).
+// Macro-scale layers: the compact per-flow state stores (ConnTable and the
+// LruCache instantiations of net/slab_table.hpp) and their byte contract,
+// the hierarchical fabric's deterministic ECMP, and the churn scenario's
+// execution-mode equivalence (shards / worker counts).
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "net/conn_table.hpp"
 #include "net/fabric_switch.hpp"
 #include "net/flowcache/flowcache.hpp"
+#include "net/oncache.hpp"
 #include "net/packet_pool.hpp"
 #include "scenario/macro_scale.hpp"
 #include "sim/engine.hpp"
@@ -132,7 +135,7 @@ TEST(ConnTable, NearIdleFootprintIsSmall) {
   EXPECT_LT(t.state_bytes(), 8u * 1024u);
 }
 
-// ---- FlowCache ------------------------------------------------------------
+// ---- LruCache instantiations ------------------------------------------------
 
 net::flowcache::FlowKey flow_key(std::uint32_t i) {
   net::flowcache::FlowKey k;
@@ -144,54 +147,221 @@ net::flowcache::FlowKey flow_key(std::uint32_t i) {
   return k;
 }
 
-TEST(FlowCacheCompact, GrowthKeepsAllEntriesReachable) {
+net::oncache::IngressKey ingress_key(std::uint32_t i) {
+  net::oncache::IngressKey k;
+  k.src_ip = net::Ipv4Address(i + 1);
+  k.dst_ip = net::Ipv4Address(0x0a000002);
+  k.vni = 42;
+  k.src_port = std::uint16_t(i & 0xffff);
+  k.dst_port = 4000;
+  k.proto = net::L4Proto::kTcp;
+  return k;
+}
+
+}  // namespace
+
+// The typed tests' instantiations live in a named namespace: ctest names
+// each typed test after its type (`...<lru_case::FlowCache>`).
+namespace lru_case {
+
+using namespace nestv;
+
+/// What the typed tests need from one LruCache instantiation: the key of
+/// flow i, a path carrying a small integer mark, the mark read back, and
+/// the instantiation's own targeted flush of every entry with a given mark.
+struct FlowCache {
+  using Cache = net::flowcache::FlowCache;
+  static net::flowcache::FlowKey key(std::uint32_t i) { return flow_key(i); }
+  static net::flowcache::CachedPath path(std::int16_t mark) {
+    net::flowcache::CachedPath p;
+    p.out_ifindex = mark;
+    p.ct_id = std::uint64_t(mark);
+    return p;
+  }
+  static int mark(const net::flowcache::CachedPath& p) { return p.out_ifindex; }
+  static std::size_t flush(Cache& c, std::int16_t mark) {
+    return c.invalidate_conn(std::uint64_t(mark));
+  }
+};
+
+struct OncacheIngress {
+  using Cache = net::oncache::IngressCache;
+  static net::oncache::IngressKey key(std::uint32_t i) {
+    return ingress_key(i);
+  }
+  static net::oncache::IngressPath path(std::int16_t mark) {
+    net::oncache::IngressPath p;
+    p.out_port = mark;
+    return p;
+  }
+  static int mark(const net::oncache::IngressPath& p) { return p.out_port; }
+  static std::size_t flush(Cache& c, std::int16_t mark) {
+    return c.invalidate_if([mark](const net::oncache::IngressKey&,
+                                  const net::oncache::IngressPath& p) {
+      return p.out_port == mark;
+    });
+  }
+};
+
+}  // namespace lru_case
+
+namespace {
+
+template <typename Case>
+struct LruCacheCompact : ::testing::Test {};
+
+using LruCases =
+    ::testing::Types<lru_case::FlowCache, lru_case::OncacheIngress>;
+TYPED_TEST_SUITE(LruCacheCompact, LruCases);
+
+TYPED_TEST(LruCacheCompact, GrowthKeepsAllEntriesReachable) {
   // Push the cache through many slab-chunk and bucket-array growths; every
   // resident entry must remain reachable with its payload intact.
-  net::flowcache::FlowCache fc(4096);
+  using C = TypeParam;
+  typename C::Cache cache(4096);
   const std::uint32_t n = 3000;
   for (std::uint32_t i = 0; i < n; ++i) {
-    net::flowcache::CachedPath p;
-    p.out_ifindex = int(i);
-    fc.insert(flow_key(i), p);
+    cache.insert(C::key(i), C::path(std::int16_t(i)));
   }
-  EXPECT_EQ(fc.size(), std::size_t(n));
+  EXPECT_EQ(cache.size(), std::size_t(n));
   for (std::uint32_t i = 0; i < n; ++i) {
-    const auto* p = fc.peek(flow_key(i));
+    const auto* p = cache.peek(C::key(i));
     ASSERT_NE(p, nullptr) << i;
-    EXPECT_EQ(p->out_ifindex, int(i));
+    EXPECT_EQ(C::mark(*p), int(i));
   }
 }
 
-TEST(FlowCacheCompact, LruEvictionAtCapacity) {
-  net::flowcache::FlowCache fc(64);
-  for (std::uint32_t i = 0; i < 200; ++i) {
-    fc.insert(flow_key(i), net::flowcache::CachedPath{});
-  }
-  EXPECT_EQ(fc.size(), 64u);
-  EXPECT_EQ(fc.evictions(), 200u - 64u);
+TYPED_TEST(LruCacheCompact, LruEvictionAtCapacity) {
+  using C = TypeParam;
+  typename C::Cache cache(64);
+  for (std::uint32_t i = 0; i < 200; ++i) cache.insert(C::key(i), C::path(0));
+  EXPECT_EQ(cache.size(), 64u);
+  EXPECT_EQ(cache.evictions(), 200u - 64u);
   // Oldest gone, newest resident.
-  EXPECT_EQ(fc.peek(flow_key(0)), nullptr);
-  EXPECT_NE(fc.peek(flow_key(199)), nullptr);
+  EXPECT_EQ(cache.peek(C::key(0)), nullptr);
+  EXPECT_NE(cache.peek(C::key(199)), nullptr);
 }
 
-TEST(FlowCacheCompact, NearIdleFootprintIsSmall) {
-  net::flowcache::FlowCache fc;  // default capacity 4096
-  fc.insert(flow_key(1), net::flowcache::CachedPath{});
-  fc.insert(flow_key(2), net::flowcache::CachedPath{});
-  EXPECT_GT(fc.state_bytes(), 0u);
+TYPED_TEST(LruCacheCompact, NearIdleFootprintIsSmall) {
+  using C = TypeParam;
+  typename C::Cache cache(4096);
+  cache.insert(C::key(1), C::path(0));
+  cache.insert(C::key(2), C::path(0));
+  EXPECT_GT(cache.state_bytes(), 0u);
   // Buckets and slabs scale with occupancy, not capacity.
-  EXPECT_LT(fc.state_bytes(), 8u * 1024u);
+  EXPECT_LT(cache.state_bytes(), 8u * 1024u);
 }
 
-TEST(FlowCacheCompact, InvalidateConnFlushesOnlyBackedEntries) {
-  net::flowcache::FlowCache fc(64);
-  net::flowcache::CachedPath backed;
-  backed.ct_id = 77;
-  fc.insert(flow_key(1), backed);
-  fc.insert(flow_key(2), net::flowcache::CachedPath{});
-  EXPECT_EQ(fc.invalidate_conn(77), 1u);
-  EXPECT_EQ(fc.peek(flow_key(1)), nullptr);
-  EXPECT_NE(fc.peek(flow_key(2)), nullptr);
+TYPED_TEST(LruCacheCompact, TargetedFlushTakesOnlyMatchingEntries) {
+  using C = TypeParam;
+  typename C::Cache cache(64);
+  cache.insert(C::key(1), C::path(77));
+  cache.insert(C::key(2), C::path(0));
+  EXPECT_EQ(C::flush(cache, 77), 1u);
+  EXPECT_EQ(cache.peek(C::key(1)), nullptr);
+  EXPECT_NE(cache.peek(C::key(2)), nullptr);
+  EXPECT_EQ(cache.invalidations(), 1u);
+}
+
+TYPED_TEST(LruCacheCompact, InvalidateIfVisitsMostRecentFirst) {
+  using C = TypeParam;
+  typename C::Cache cache(64);
+  for (std::uint32_t i = 0; i < 5; ++i) {
+    cache.insert(C::key(i), C::path(std::int16_t(i)));
+  }
+  ASSERT_NE(cache.lookup(C::key(1)), nullptr);  // a hit refreshes
+  cache.insert(C::key(3), C::path(3));          // so does a replace
+  std::vector<int> seen;
+  const std::size_t flushed =
+      cache.invalidate_if([&seen](const auto&, const auto& path) {
+        seen.push_back(C::mark(path));
+        return C::mark(path) % 2 == 0;
+      });
+  EXPECT_EQ(seen, (std::vector<int>{3, 1, 4, 2, 0}));
+  EXPECT_EQ(flushed, 3u);
+  // Flushing mid-walk keeps the survivors' order.
+  seen.clear();
+  cache.invalidate_if([&seen](const auto&, const auto& path) {
+    seen.push_back(C::mark(path));
+    return false;
+  });
+  EXPECT_EQ(seen, (std::vector<int>{3, 1}));
+}
+
+// ---- the byte contract ----------------------------------------------------
+
+// state_bytes() of a table after each step of a fixed sequence: fresh, 3
+// live, 100 live (chunk and index growth), 50 erased, 50 inserted into the
+// freed slots, past capacity (evictions), then a generation flush reclaimed
+// lazily and refilled.
+template <typename Cache, typename KeyOf>
+std::vector<std::size_t> lru_bytes_trace(Cache& c, KeyOf key_of) {
+  using Path = std::remove_cvref_t<decltype(*c.peek(key_of(0)))>;
+  std::vector<std::size_t> bytes{c.state_bytes()};
+  const auto insert = [&](std::uint32_t from, std::uint32_t to) {
+    for (std::uint32_t i = from; i < to; ++i) c.insert(key_of(i), Path{});
+    bytes.push_back(c.state_bytes());
+  };
+  insert(0, 3);
+  insert(3, 100);
+  for (std::uint32_t i = 0; i < 100; i += 2) c.invalidate(key_of(i));
+  bytes.push_back(c.state_bytes());
+  insert(1000, 1050);
+  insert(2000, 2060);
+  c.invalidate_all();
+  for (std::uint32_t i = 2000; i < 2060; ++i) (void)c.lookup(key_of(i));
+  insert(3000, 3040);
+  return bytes;
+}
+
+// The same shape for conntrack: unconfirmed then confirmed entries (two
+// index bindings each), erase half, reuse the freed slots, build the lazy
+// port-occupancy index, grow again.
+std::vector<std::size_t> conn_bytes_trace() {
+  net::ConnTable t;
+  std::vector<std::uint64_t> ids;
+  std::vector<std::size_t> bytes{t.state_bytes()};
+  const auto create = [&](std::uint32_t from, std::uint32_t to,
+                          bool confirmed) {
+    for (std::uint32_t i = from; i < to; ++i) {
+      net::ConnEntry e;
+      e.orig = key_of(i + 1, 0x0a0a0a0a, std::uint16_t(i), 53);
+      e.reply = key_of(0x0a0a0a0a, i + 1, 53, std::uint16_t(i));
+      e.confirmed = confirmed;
+      const auto ref = t.create(e);
+      if (confirmed) t.register_reply(ref.id, e.reply);
+      ids.push_back(ref.id);
+    }
+    bytes.push_back(t.state_bytes());
+  };
+  create(0, 3, false);
+  create(3, 40, true);
+  for (std::size_t i = 0; i < 40; i += 2) t.erase(ids[i]);
+  bytes.push_back(t.state_bytes());
+  create(100, 120, true);
+  (void)t.port_in_use(net::L4Proto::kUdp, net::Ipv4Address(0x0a0a0a0a), 53);
+  bytes.push_back(t.state_bytes());
+  create(200, 260, true);
+  return bytes;
+}
+
+TEST(SlabTable, StateBytesMatchFixedSequence) {
+  // The bench gates (state_bytes_per_flow, flowcache_bytes_at_peak,
+  // oncache_state_bytes_1280B) are sums of these footprints; the values
+  // here pin the slot sizes (72/64/72/48 B), the chunk sequence and the
+  // index sizing rules in tier-1.
+  using Bytes = std::vector<std::size_t>;
+  EXPECT_EQ(conn_bytes_trace(),
+            (Bytes{0, 704, 3864, 3864, 3908, 4484, 11764}));
+  net::flowcache::FlowCache flows(128);
+  EXPECT_EQ(lru_bytes_trace(flows, flow_key),
+            (Bytes{128, 640, 8704, 8704, 8668, 8896, 8784}));
+  net::oncache::EgressCache egress(128);
+  EXPECT_EQ(lru_bytes_trace(egress, flow_key),
+            (Bytes{128, 704, 9728, 9728, 9692, 9920, 9808}));
+  net::oncache::IngressCache ingress(128);
+  EXPECT_EQ(lru_bytes_trace(ingress, ingress_key),
+            (Bytes{128, 512, 6656, 6656, 6644, 6872, 6740}));
 }
 
 // ---- FabricSwitch ECMP ----------------------------------------------------
