@@ -7,15 +7,15 @@
 //   * equivalence: every simulated output of the shards=N run must match
 //     the shards=1 run bit-for-bit.  `shards1_equivalence_max_delta` is
 //     the max absolute difference over those outputs and CI gates it with
-//     check_bench.py --require-zero.  This extends the abl_sharding
-//     guarantee to multi-path fabrics: ECMP tie-breaks are a pure hash of
-//     the flow tuple, so the path — like the keyed wire delivery order —
-//     is a property of the flow, not of the execution mode.
+//     check_bench.py --require-zero.  The guarantee holds on multi-path
+//     fabrics: ECMP tie-breaks are a pure hash of the flow tuple, so the
+//     path — like the keyed wire delivery order — is a property of the
+//     flow, not of the execution mode.
 //   * churn throughput: wall-clock events/sec per shard count ("wall" in
 //     the metric name exempts the host-dependent numbers from gating).
 //   * bytes of per-flow state: conntrack + flowcache resident bytes per
-//     tracked flow at peak occupancy, next to a model of the node-based
-//     structures this layout replaced (see legacy_model notes below).
+//     tracked flow at peak occupancy (EXPERIMENTS.md compares it with the
+//     node-based structures the slab tables replaced).
 //
 // Flags (beyond the common `[seed] [--jobs N] [--shards N]`):
 //   --full          200 machines / 100k flows — the EXPERIMENTS.md
@@ -28,182 +28,21 @@
 //                   --flows=1000000` (use the `=` forms: a bare number is
 //                   taken as the seed).
 //   --shards N      single configuration, no sweep (the TSan CI entry
-//                   point, as in abl_sharding).
-#include <chrono>
+//                   point).
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <functional>
-#include <list>
-#include <memory>
 #include <string>
 #include <thread>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
-#include "net/conn_table.hpp"
-#include "net/flowcache/flowcache.hpp"
 #include "scenario/macro_scale.hpp"
 
 namespace {
 
 using nestv::scenario::MacroScaleConfig;
 using nestv::scenario::MacroScaleResult;
-
-// ---- legacy per-flow footprint replica ------------------------------------
-//
-// The structures this layout replaced (still readable at the git history
-// of net/netfilter.hpp and net/flowcache/flowcache.hpp):
-//   * conntrack: std::unordered_map<ConnKey, id> holding both tuple
-//     directions plus std::unordered_map<id, ConnEntry>;
-//   * flowcache: std::list<Entry{FlowKey, CachedPath}> plus
-//     std::unordered_map<FlowKey, list::iterator>, with two std::string
-//     interface names inside every CachedPath.
-// Rather than model those with sizeof arithmetic (which ignores real node
-// layouts and allocator overhead), the bench *rebuilds* them through a
-// counting allocator at the same entry population the compact tables held
-// at peak, charging each allocation what glibc malloc actually reserves
-// for it: max(32, 16-byte-aligned(request + 8)).  Interface names use
-// short (SSO) strings, so no string heap spill is charged — the replica
-// still slightly understates the legacy footprint and the reported ratio
-// is a floor.  The byte count is a pure function of the entry counts and
-// the libstdc++ container layouts, so it is deterministic and gated like
-// every other metric.
-
-std::size_t g_replica_bytes = 0;
-
-[[nodiscard]] std::size_t malloc_chunk_bytes(std::size_t request) {
-  const std::size_t chunk = (request + 8 + 15) & ~std::size_t{15};
-  return chunk < 32 ? 32 : chunk;
-}
-
-template <typename T>
-struct CountingAlloc {
-  using value_type = T;
-  CountingAlloc() = default;
-  template <typename U>
-  CountingAlloc(const CountingAlloc<U>&) {}  // NOLINT(google-explicit-*)
-  T* allocate(std::size_t n) {
-    g_replica_bytes += malloc_chunk_bytes(n * sizeof(T));
-    return std::allocator<T>{}.allocate(n);
-  }
-  void deallocate(T* ptr, std::size_t n) {
-    g_replica_bytes -= malloc_chunk_bytes(n * sizeof(T));
-    std::allocator<T>{}.deallocate(ptr, n);
-  }
-  template <typename U>
-  bool operator==(const CountingAlloc<U>&) const {
-    return true;
-  }
-};
-
-/// net/netfilter.hpp's ConnEntry as of the node-based implementation
-/// (field order matters: it sets the padding the replica pays).
-struct LegacyConnEntry {
-  nestv::net::ConnKey orig;
-  nestv::net::ConnKey reply;
-  bool snat = false;
-  bool dnat = false;
-  nestv::net::Ipv4Address snat_ip;
-  std::uint16_t snat_port = 0;
-  nestv::net::Ipv4Address dnat_ip;
-  std::uint16_t dnat_port = 0;
-  bool confirmed = false;
-  nestv::sim::TimePoint last_seen = 0;
-  std::uint64_t packets = 0;
-};
-
-/// net/flowcache/flowcache.hpp's CachedPath as of the node-based
-/// implementation (heap strings, u64 stamps, full-width cost).
-struct LegacyCachedPath {
-  using Action = nestv::net::flowcache::CachedPath::Action;
-  Action action = Action::kForward;
-  int out_ifindex = -1;
-  nestv::net::Ipv4Address new_src_ip;
-  nestv::net::Ipv4Address new_dst_ip;
-  std::uint16_t new_src_port = 0;
-  std::uint16_t new_dst_port = 0;
-  bool rewrites = false;
-  nestv::net::MacAddress next_hop_mac;
-  std::uint64_t ct_id = 0;
-  std::string in_iface;
-  std::string out_iface;
-  nestv::sim::Duration fast_cost = 0;
-  std::uint64_t generation = 0;
-  std::uint64_t routes_gen = 0;
-};
-
-/// Resident bytes of the legacy structures holding `conns` confirmed
-/// connections and `fc_entries` cached paths.
-std::uint64_t measure_legacy_bytes(std::uint64_t conns,
-                                   std::uint64_t fc_entries) {
-  using nestv::net::ConnKey;
-  using nestv::net::ConnKeyHash;
-  using nestv::net::Ipv4Address;
-  using nestv::net::L4Proto;
-  using nestv::net::flowcache::FlowKey;
-  using nestv::net::flowcache::FlowKeyHash;
-
-  g_replica_bytes = 0;
-  std::uint64_t at_peak = 0;
-  {
-    std::unordered_map<ConnKey, std::uint64_t, ConnKeyHash,
-                       std::equal_to<ConnKey>,
-                       CountingAlloc<std::pair<const ConnKey, std::uint64_t>>>
-        by_tuple;
-    std::unordered_map<
-        std::uint64_t, LegacyConnEntry, std::hash<std::uint64_t>,
-        std::equal_to<std::uint64_t>,
-        CountingAlloc<std::pair<const std::uint64_t, LegacyConnEntry>>>
-        conn_store;
-    using FcEntry = std::pair<FlowKey, LegacyCachedPath>;
-    std::list<FcEntry, CountingAlloc<FcEntry>> lru;
-    std::unordered_map<
-        FlowKey, typename std::list<FcEntry, CountingAlloc<FcEntry>>::iterator,
-        FlowKeyHash, std::equal_to<FlowKey>,
-        CountingAlloc<std::pair<
-            const FlowKey,
-            typename std::list<FcEntry, CountingAlloc<FcEntry>>::iterator>>>
-        fc_index;
-
-    for (std::uint64_t i = 0; i < conns; ++i) {
-      LegacyConnEntry e;
-      e.orig.src_ip = Ipv4Address(static_cast<std::uint32_t>(i));
-      e.orig.dst_ip = Ipv4Address(static_cast<std::uint32_t>(~i));
-      e.orig.src_port = 40000;
-      e.orig.dst_port = 80;
-      e.orig.proto = L4Proto::kTcp;
-      e.reply = e.orig;
-      std::swap(e.reply.src_ip, e.reply.dst_ip);
-      std::swap(e.reply.src_port, e.reply.dst_port);
-      e.confirmed = true;
-      by_tuple.emplace(e.orig, i + 1);
-      by_tuple.emplace(e.reply, i + 1);
-      conn_store.emplace(i + 1, e);
-    }
-    for (std::uint64_t i = 0; i < fc_entries; ++i) {
-      FlowKey key;
-      key.src_ip = Ipv4Address(static_cast<std::uint32_t>(i));
-      key.dst_ip = Ipv4Address(static_cast<std::uint32_t>(~i));
-      key.src_port = 40000;
-      key.dst_port = 80;
-      key.proto = L4Proto::kTcp;
-      key.in_ifindex = 1;
-      LegacyCachedPath path;
-      path.ct_id = i + 1;
-      path.in_iface = "eth0";
-      path.out_iface = "eth0";
-      lru.emplace_back(key, std::move(path));
-      fc_index.emplace(key, std::prev(lru.end()));
-    }
-    at_peak = g_replica_bytes;
-  }
-  return at_peak;
-}
-
-// ---------------------------------------------------------------------------
 
 MacroScaleConfig base_config(std::uint64_t seed, bool full, int machines,
                              int flows) {
@@ -260,35 +99,12 @@ double events_per_sec(const MacroScaleResult& r) {
 /// Max absolute difference over every simulated (deterministic) output.
 /// Zero means the sharded run is the single-engine run, bit for bit.
 double max_delta(const MacroScaleResult& a, const MacroScaleResult& b) {
+  const auto xs = nestv::scenario::simulated_outputs(a);
+  const auto ys = nestv::scenario::simulated_outputs(b);
   double d = 0.0;
-  auto acc = [&d](double x, double y) {
-    const double diff = std::fabs(x - y);
-    if (diff > d) d = diff;
-  };
-  acc(a.flows_completed, b.flows_completed);
-  acc(a.rr_transactions, b.rr_transactions);
-  acc(a.rr_latency_ns_sum, b.rr_latency_ns_sum);
-  acc(a.stream_bytes_delivered, b.stream_bytes_delivered);
-  acc(a.flow_digest, b.flow_digest);
-  acc(static_cast<double>(a.peak_concurrent_flows),
-      static_cast<double>(b.peak_concurrent_flows));
-  acc(static_cast<double>(a.conntrack_peak_entries),
-      static_cast<double>(b.conntrack_peak_entries));
-  acc(static_cast<double>(a.state_bytes_at_peak),
-      static_cast<double>(b.state_bytes_at_peak));
-  acc(static_cast<double>(a.conntrack_bytes_at_peak),
-      static_cast<double>(b.conntrack_bytes_at_peak));
-  acc(static_cast<double>(a.flowcache_bytes_at_peak),
-      static_cast<double>(b.flowcache_bytes_at_peak));
-  acc(static_cast<double>(a.flowcache_entries_at_peak),
-      static_cast<double>(b.flowcache_entries_at_peak));
-  acc(static_cast<double>(a.conntrack_gc_reaped),
-      static_cast<double>(b.conntrack_gc_reaped));
-  acc(a.pods_scheduled, b.pods_scheduled);
-  acc(a.vms_bought, b.vms_bought);
-  acc(a.placement_cost_per_hour, b.placement_cost_per_hour);
-  acc(static_cast<double>(a.events_total),
-      static_cast<double>(b.events_total));
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    d = std::fmax(d, std::fabs(xs[i].second - ys[i].second));
+  }
   return d;
 }
 
@@ -336,87 +152,31 @@ bool note_oversubscription(nestv::bench::JsonReport& report, int shards) {
 
 void add_sim_outputs(nestv::bench::JsonReport& report,
                      const MacroScaleResult& r) {
-  report.add("flows_completed", r.flows_completed);
-  report.add("rr_transactions", r.rr_transactions);
-  report.add("rr_latency_ns_sum", r.rr_latency_ns_sum);
-  report.add("stream_bytes_delivered", r.stream_bytes_delivered);
-  report.add("flow_digest", r.flow_digest);
-  report.add("peak_concurrent_flows",
-             static_cast<double>(r.peak_concurrent_flows));
-  report.add("conntrack_peak_entries",
-             static_cast<double>(r.conntrack_peak_entries));
-  report.add("state_bytes_at_peak",
-             static_cast<double>(r.state_bytes_at_peak));
-  report.add("state_bytes_per_flow", r.state_bytes_per_flow);
-  report.add("conntrack_bytes_at_peak",
-             static_cast<double>(r.conntrack_bytes_at_peak));
-  report.add("flowcache_bytes_at_peak",
-             static_cast<double>(r.flowcache_bytes_at_peak));
-  report.add("flowcache_entries_at_peak",
-             static_cast<double>(r.flowcache_entries_at_peak));
-  report.add("conntrack_gc_reaped",
-             static_cast<double>(r.conntrack_gc_reaped));
-  report.add("pods_scheduled", r.pods_scheduled);
-  report.add("vms_bought", r.vms_bought);
-  report.add("placement_cost_per_hour", r.placement_cost_per_hour);
-  report.add("events_total", static_cast<double>(r.events_total));
-}
-
-/// The compact-state headline block: measured bytes/flow against the
-/// rebuilt legacy structures.  Deterministic (a pure function of the
-/// entry counts on one toolchain), so check_bench.py gates these like any
-/// simulated output.  The replica holds the *same* entry population the
-/// compact tables held at peak: one conntrack entry per tracked
-/// connection plus one cached path per live flowcache entry (cached
-/// paths are per-direction, so that count can exceed the connection
-/// count).
-double legacy_model_bytes(const MacroScaleResult& r) {
-  return static_cast<double>(measure_legacy_bytes(
-      r.conntrack_peak_entries, r.flowcache_entries_at_peak));
-}
-
-void add_state_metrics(nestv::bench::JsonReport& report,
-                       const MacroScaleResult& r) {
-  const double legacy = legacy_model_bytes(r);
-  const double per_flow =
-      r.conntrack_peak_entries > 0
-          ? legacy / static_cast<double>(r.conntrack_peak_entries)
-          : 0.0;
-  report.add("legacy_model_bytes_per_flow", per_flow);
-  report.add("state_compaction_ratio",
-             r.state_bytes_at_peak > 0
-                 ? legacy / static_cast<double>(r.state_bytes_at_peak)
-                 : 0.0);
+  for (const auto& [name, value] : nestv::scenario::simulated_outputs(r)) {
+    report.add(name, value);
+  }
 }
 
 void print_state_summary(const MacroScaleResult& r) {
-  const double legacy = legacy_model_bytes(r);
-  const double ct = static_cast<double>(r.conntrack_peak_entries);
   std::printf(
       "\nper-flow state at peak occupancy (%llu connections, %llu cached "
       "paths):\n"
       "  compact tables : %8.1f B/flow  (%llu B resident: conntrack %llu, "
-      "flowcache %llu)\n"
-      "  legacy replica : %8.1f B/flow  (node-based maps + list rebuilt "
-      "over the same entries, glibc chunk sizes charged)\n"
-      "  ratio          : %8.2fx\n",
+      "flowcache %llu)\n",
       static_cast<unsigned long long>(r.conntrack_peak_entries),
       static_cast<unsigned long long>(r.flowcache_entries_at_peak),
       r.state_bytes_per_flow,
       static_cast<unsigned long long>(r.state_bytes_at_peak),
       static_cast<unsigned long long>(r.conntrack_bytes_at_peak),
-      static_cast<unsigned long long>(r.flowcache_bytes_at_peak),
-      ct > 0 ? legacy / ct : 0.0,
-      r.state_bytes_at_peak > 0
-          ? legacy / static_cast<double>(r.state_bytes_at_peak)
-          : 0.0);
+      static_cast<unsigned long long>(r.flowcache_bytes_at_peak));
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace nestv;
-  const auto args = bench::parse_args(argc, argv);
+  const auto args =
+      bench::parse_args(argc, argv, {"--full", "--machines=", "--flows="});
   bool full = false;
   int machines = 0;
   int flows = 0;
@@ -450,7 +210,6 @@ int main(int argc, char** argv) {
                               r.per_shard_events);
     report.set_conductor_info(conductor_info(r));
     add_sim_outputs(report, r);
-    add_state_metrics(report, r);
     note_oversubscription(report, r.shards);
     report.add("wall_seconds", r.wall_seconds);
     report.add("events_per_sec_wall", events_per_sec(r));
@@ -485,7 +244,6 @@ int main(int argc, char** argv) {
 
   // Simulated outputs of the shards=1 baseline: deterministic, gated.
   add_sim_outputs(report, base_r);
-  add_state_metrics(report, base_r);
   // The acceptance gate: CI runs check_bench.py --require-zero on this.
   report.add("shards1_equivalence_max_delta", equivalence_delta);
   // Cross-shard traffic and epoch-loop counts are deterministic per shard

@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <string>
 #include <thread>
 #include <vector>
@@ -32,18 +33,33 @@ namespace nestv::bench {
 
 /// Command line shared by every bench: `[seed] [--jobs N] [--shards N]`.
 /// `--jobs` parallelizes across a sweep's measurement points; `--shards`
-/// parallelizes inside one simulation (benches that drive a
-/// ShardedConductor — abl_sharding; 0 = the bench's own sweep/default).
+/// runs one configuration of a bench that drives a ShardedConductor
+/// (abl_macro_scale; 0 = the bench's own shard sweep).
 struct BenchArgs {
   std::uint64_t seed = 42;
   int jobs = 1;
   int shards = 0;
 };
 
-/// Parses the shared flags.  Other `--` flags are left to the bench
-/// (abl_macro_scale's --full, --machines=N, ...).
-inline BenchArgs parse_args(int argc, char** argv) {
+/// Parses the shared flags.  `bench_flags` names the flags the bench
+/// parses itself (a trailing '=' takes any `--flag=value`, as in
+/// abl_macro_scale's "--machines=").  Any other `-`-prefixed argument ends
+/// the bench with exit status 2 rather than silently running a default.
+inline BenchArgs parse_args(int argc, char** argv,
+                            std::initializer_list<const char*> bench_flags =
+                                {}) {
   BenchArgs a;
+  const auto is_bench_flag = [&bench_flags](const char* arg) {
+    for (const char* flag : bench_flags) {
+      const std::size_t n = std::strlen(flag);
+      const bool takes_value = n > 0 && flag[n - 1] == '=';
+      if (takes_value ? std::strncmp(arg, flag, n) == 0
+                      : std::strcmp(arg, flag) == 0) {
+        return true;
+      }
+    }
+    return false;
+  };
   const auto count = [](const char* what, const char* text) {
     return static_cast<int>(whole_number_arg(what, text, 1 << 16));
   };
@@ -59,6 +75,9 @@ inline BenchArgs parse_args(int argc, char** argv) {
       a.shards = count("--shards", arg + 9);
     } else if (arg[0] != '-') {
       a.seed = whole_number_arg("seed", arg);
+    } else if (!is_bench_flag(arg)) {
+      std::fprintf(stderr, "unknown flag '%s'\n", arg);
+      std::exit(2);
     }
   }
   if (a.jobs < 1) a.jobs = 1;

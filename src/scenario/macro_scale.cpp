@@ -105,8 +105,7 @@ void start_churn_flow(const std::shared_ptr<ChurnFlow>& d) {
 }
 
 /// TCP bulk sender keeping up to two windows queued (the long-lived
-/// streams riding under the churn), same self-driving chain as
-/// datacenter_macro.
+/// streams riding under the churn), driven by a self-rearming send chain.
 struct StreamDriver {
   net::StackBackend* cli_stack = nullptr;
   sim::SerialResource* cli_app = nullptr;

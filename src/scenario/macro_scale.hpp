@@ -1,8 +1,7 @@
 // Macro-scale datacenter scenario: flow churn on a hierarchical fabric.
 //
-// datacenter_macro (scenario/datacenter_macro.hpp) runs a fixed set of
-// long-lived flows on a flat ToR — the steady-state picture.  This
-// scenario models the part a real datacenter adds on top: *churn*.  A
+// The simulator's one macro scenario.  It models what a real datacenter
+// adds on top of a fixed set of long-lived flows: *churn*.  A
 // population of machines under a two-tier fabric (vmm::HierarchicalFabric,
 // racks -> ToRs -> spines with deterministic per-flow ECMP) carries an
 // open-loop stream of short-lived flows: each arrives at a precomputed
@@ -27,7 +26,7 @@
 //                riding the ONCache-style encap/decap fast path when
 //                oncache_enabled (off by default: the knob defaults to
 //                zero pairs, leaving the run byte-identical).
-// Placement follows the Google-like trace, as in datacenter_macro.
+// Placement follows the Google-like trace (trace::generate_google_like_trace).
 //
 // Determinism: identical simulated outputs at any shards/max_workers
 // (bench/abl_macro_scale gates shards=16 == shards=1 with delta 0).  The
@@ -37,6 +36,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "scenario/testbed.hpp"
@@ -159,5 +159,36 @@ struct MacroScaleResult {
 };
 
 [[nodiscard]] MacroScaleResult run_macro_scale(const MacroScaleConfig& config);
+
+/// Every simulated output of a macro run as (bench JSON metric name,
+/// value), in the bench's JSON order: the fields above the execution-shape
+/// block of MacroScaleResult.  None of them may depend on shards or
+/// max_workers; the bench's shards=1 equivalence gate and the
+/// shard-invariance tests compare exactly this list.
+[[nodiscard]] inline std::vector<std::pair<const char*, double>>
+simulated_outputs(const MacroScaleResult& r) {
+  return {
+      {"flows_completed", r.flows_completed},
+      {"rr_transactions", r.rr_transactions},
+      {"rr_latency_ns_sum", r.rr_latency_ns_sum},
+      {"stream_bytes_delivered", r.stream_bytes_delivered},
+      {"flow_digest", r.flow_digest},
+      {"peak_concurrent_flows", double(r.peak_concurrent_flows)},
+      {"conntrack_peak_entries", double(r.conntrack_peak_entries)},
+      {"state_bytes_at_peak", double(r.state_bytes_at_peak)},
+      {"state_bytes_per_flow", r.state_bytes_per_flow},
+      {"conntrack_bytes_at_peak", double(r.conntrack_bytes_at_peak)},
+      {"flowcache_bytes_at_peak", double(r.flowcache_bytes_at_peak)},
+      {"flowcache_entries_at_peak", double(r.flowcache_entries_at_peak)},
+      {"oncache_entries_at_peak", double(r.oncache_entries_at_peak)},
+      {"oncache_bytes_at_peak", double(r.oncache_bytes_at_peak)},
+      {"oncache_hits", double(r.oncache_hits)},
+      {"conntrack_gc_reaped", double(r.conntrack_gc_reaped)},
+      {"pods_scheduled", r.pods_scheduled},
+      {"vms_bought", r.vms_bought},
+      {"placement_cost_per_hour", r.placement_cost_per_hour},
+      {"events_total", double(r.events_total)},
+  };
+}
 
 }  // namespace nestv::scenario

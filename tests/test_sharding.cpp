@@ -3,21 +3,21 @@
 // The contract (DESIGN.md section 10): a sharded run is bit-identical to
 // the single-engine run of the same world, and independent of the worker
 // thread count.  These tests exercise the conductor mechanics directly
-// (windows, mailbox ordering, lookahead jumping), a two-machine fabric
-// world against its single-engine twin, and the full datacenter macro
-// scenario across shard and worker counts.
+// (windows, mailbox ordering, lookahead jumping, the epoch barrier) and
+// the macro-scale scenario under the conductor: bit-identity across shard
+// counts, keyed-arrival clamps and the reported execution shape.  The
+// shard x worker sweep of the macro scenario lives in test_macro_fabric
+// (MacroScale.ShardsAndWorkersDoNotChangeSimulatedOutputs).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <limits>
-#include <string>
 #include <thread>
 #include <tuple>
 #include <vector>
 
-#include "scenario/datacenter_macro.hpp"
 #include "scenario/macro_scale.hpp"
 #include "sim/sharded_conductor.hpp"
 #include "sim/test_hooks.hpp"
@@ -283,57 +283,10 @@ TEST(ShardedConductor, PerPairLookaheadWidensWindowsOverScalar) {
   EXPECT_LT(epochs_pairs * 4, epochs_scalar);
 }
 
-// ---- two-machine fabric: sharded vs single-engine twin -----------------
-
-struct MacroDigest {
-  double transactions, latency, bytes, digest;
-  std::uint64_t events;
-};
-
-MacroDigest run_macro(int shards, unsigned workers, int machines = 4,
-                      int flows = 6) {
-  scenario::DatacenterMacroConfig cfg;
-  cfg.seed = 11;
-  cfg.machines = machines;
-  cfg.shards = shards;
-  cfg.max_workers = workers;
-  cfg.trace_users = 6;
-  cfg.flows = flows;
-  cfg.measure_window = sim::milliseconds(40);
-  const auto r = scenario::run_datacenter_macro(cfg);
-  return {r.rr_transactions, r.rr_latency_ns_sum, r.stream_bytes_delivered,
-          r.flow_digest, r.events_total};
-}
-
-void expect_identical(const MacroDigest& a, const MacroDigest& b) {
-  EXPECT_BITS_EQ(a.transactions, b.transactions);
-  EXPECT_BITS_EQ(a.latency, b.latency);
-  EXPECT_BITS_EQ(a.bytes, b.bytes);
-  EXPECT_BITS_EQ(a.digest, b.digest);
-  EXPECT_EQ(a.events, b.events);
-}
-
-TEST(ShardedMacro, ProducesTraffic) {
-  const auto r = run_macro(1, 1);
-  EXPECT_GT(r.transactions, 0.0);
-  EXPECT_GT(r.bytes, 0.0);
-  EXPECT_GT(r.events, 0u);
-}
-
-TEST(ShardedMacro, ShardCountIsInvisibleInResults) {
-  const auto base = run_macro(1, 1);
-  expect_identical(base, run_macro(2, 2));
-  expect_identical(base, run_macro(4, 4));
-}
-
-TEST(ShardedMacro, WorkerCountIsInvisibleInResults) {
-  const auto w1 = run_macro(4, 1);
-  expect_identical(w1, run_macro(4, 2));
-  expect_identical(w1, run_macro(4, 4));
-}
+// ---- macro-scale scenario under the conductor ---------------------------
 
 /// A small two-rack macro-scale world (8 machines, 2 spines, 96 flows).
-scenario::MacroScaleResult run_macro_smoke(int shards) {
+scenario::MacroScaleResult run_macro_smoke(int shards, unsigned workers) {
   scenario::MacroScaleConfig cfg;
   cfg.seed = 7;
   cfg.machines = 8;
@@ -345,8 +298,15 @@ scenario::MacroScaleResult run_macro_smoke(int shards) {
   cfg.drain = sim::milliseconds(30);
   cfg.tcp_streams = 1;
   cfg.shards = shards;
-  cfg.max_workers = static_cast<unsigned>(shards);
+  cfg.max_workers = workers;
   return scenario::run_macro_scale(cfg);
+}
+
+TEST(ShardedMacro, ProducesTraffic) {
+  const auto r = run_macro_smoke(1, 1);
+  EXPECT_GT(r.rr_transactions, 0.0);
+  EXPECT_GT(r.stream_bytes_delivered, 0.0);
+  EXPECT_GT(r.events_total, 0u);
 }
 
 TEST(ShardedMacro, MacroSmokeTopologyBitIdenticalAcrossShards) {
@@ -355,14 +315,12 @@ TEST(ShardedMacro, MacroSmokeTopologyBitIdenticalAcrossShards) {
   // distributed spine hosting (FabricConfig::distribute_spines defaults
   // on), and the fused epoch loop.  All of it must be invisible in the
   // simulated outputs.
-  const auto base = run_macro_smoke(1);
-  const auto sharded = run_macro_smoke(4);
-  EXPECT_BITS_EQ(base.flow_digest, sharded.flow_digest);
-  EXPECT_BITS_EQ(base.rr_transactions, sharded.rr_transactions);
-  EXPECT_BITS_EQ(base.rr_latency_ns_sum, sharded.rr_latency_ns_sum);
-  EXPECT_BITS_EQ(base.stream_bytes_delivered, sharded.stream_bytes_delivered);
-  EXPECT_BITS_EQ(base.flows_completed, sharded.flows_completed);
-  EXPECT_EQ(base.events_total, sharded.events_total);
+  const auto base = scenario::simulated_outputs(run_macro_smoke(1, 1));
+  const auto sharded = run_macro_smoke(4, 4);
+  const auto outputs = scenario::simulated_outputs(sharded);
+  for (std::size_t i = 0; i < base.size(); ++i) {
+    EXPECT_BITS_EQ(base[i].second, outputs[i].second) << base[i].first;
+  }
   // Epoch-loop telemetry is live and consistent.
   EXPECT_GT(sharded.epochs, 0u);
   EXPECT_GT(sharded.cross_posts, 0u);
@@ -374,7 +332,7 @@ TEST(ShardedMacro, MacroSmokeTopologyBitIdenticalAcrossShards) {
 TEST(ShardedMacro, MacroSmokeNeverClampsAKeyedArrival) {
   // Every cross-shard frame is drained before its destination's clock
   // reaches it, so no keyed delivery lands in an engine's past.
-  const auto r = run_macro_smoke(4);
+  const auto r = run_macro_smoke(4, 4);
   EXPECT_GT(r.cross_posts, 0u);
   EXPECT_EQ(r.clamped_keyed_events, 0u);
 }
@@ -383,22 +341,14 @@ TEST(ShardedMacro, LookaheadOverrunShowsUpAsKeyedClamps) {
   // The injected lookahead bug lets windows overrun true arrival times;
   // the late frames are clamped to now, and the count says so.
   sim::test_hooks::lookahead_matrix_overrun = true;
-  const auto r = run_macro_smoke(4);
+  const auto r = run_macro_smoke(4, 4);
   sim::test_hooks::reset();
   EXPECT_GT(r.clamped_keyed_events, 0u);
   EXPECT_GE(r.clamped_events, r.clamped_keyed_events);
 }
 
 TEST(ShardedMacro, ReportsExecutionShape) {
-  scenario::DatacenterMacroConfig cfg;
-  cfg.seed = 11;
-  cfg.machines = 4;
-  cfg.shards = 4;
-  cfg.max_workers = 2;
-  cfg.trace_users = 4;
-  cfg.flows = 4;
-  cfg.measure_window = sim::milliseconds(20);
-  const auto r = scenario::run_datacenter_macro(cfg);
+  const auto r = run_macro_smoke(4, 2);
   EXPECT_EQ(r.shards, 4);
   ASSERT_EQ(r.per_shard_events.size(), 4u);
   std::uint64_t sum = 0;
