@@ -1,12 +1,14 @@
-// Ablation — conntrack fast path vs rule-scan slow path (google-benchmark).
+// Ablation — conntrack fast path vs rule-scan slow path.
 //
-// Two things are measured: the real wall-clock cost of our netfilter
-// implementation (hash hit vs chain scan), and the *simulated* per-packet
-// cost each path charges (reported as counters).  This quantifies why the
-// NAT baseline depends so heavily on connection reuse: every new flow pays
-// the rule scan, established flows pay only the lookup.
-#include <benchmark/benchmark.h>
+// Replays a fixed packet sequence through our netfilter implementation and
+// reports the *simulated* per-packet cost each path charges: a fresh tuple
+// (conntrack miss, full NAT rule scan), an established flow (hash hit) and
+// a FORWARD chain scan over N standing rules.  This quantifies why the NAT
+// baseline depends so heavily on connection reuse: every new flow pays the
+// rule scan, established flows pay only the lookup.
+#include <cstdio>
 
+#include "bench_args.hpp"
 #include "json_report.hpp"
 #include "net/netfilter.hpp"
 
@@ -36,67 +38,6 @@ void setup_rules(Netfilter& nf, int standing_rules) {
   nf.nat_chain(Hook::kPostrouting).rules.push_back(masq);
 }
 
-void BM_ConntrackMiss(benchmark::State& state) {
-  std::uint64_t sim_cost = 0, packets = 0;
-  std::uint32_t i = 0;
-  Netfilter nf(kCosts);
-  setup_rules(nf, static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    Packet p = flow_packet(i++);  // fresh tuple: always a miss
-    const auto pre = nf.run_hook(Hook::kPrerouting, p, "docker0", "", i);
-    const auto post =
-        nf.run_hook(Hook::kPostrouting, p, "docker0", "eth0", i);
-    benchmark::DoNotOptimize(p);
-    sim_cost += pre.cost + post.cost;
-    ++packets;
-  }
-  state.counters["sim_ns_per_pkt"] =
-      static_cast<double>(sim_cost) / static_cast<double>(packets);
-}
-BENCHMARK(BM_ConntrackMiss)->Arg(0)->Arg(6)->Arg(20);
-
-void BM_ConntrackHit(benchmark::State& state) {
-  Netfilter nf(kCosts);
-  setup_rules(nf, static_cast<int>(state.range(0)));
-  // Establish one flow, then replay it.
-  Packet first = flow_packet(1);
-  nf.run_hook(Hook::kPrerouting, first, "docker0", "", 0);
-  nf.run_hook(Hook::kPostrouting, first, "docker0", "eth0", 0);
-
-  std::uint64_t sim_cost = 0, packets = 0, t = 1;
-  for (auto _ : state) {
-    Packet p = flow_packet(1);
-    const auto pre = nf.run_hook(Hook::kPrerouting, p, "docker0", "", t);
-    const auto post =
-        nf.run_hook(Hook::kPostrouting, p, "docker0", "eth0", t);
-    benchmark::DoNotOptimize(p);
-    sim_cost += pre.cost + post.cost;
-    ++packets;
-    ++t;
-  }
-  state.counters["sim_ns_per_pkt"] =
-      static_cast<double>(sim_cost) / static_cast<double>(packets);
-}
-BENCHMARK(BM_ConntrackHit)->Arg(0)->Arg(6)->Arg(20);
-
-void BM_FilterChainScan(benchmark::State& state) {
-  Netfilter nf(kCosts);
-  nf.install_standing_rules(static_cast<int>(state.range(0)));
-  std::uint64_t sim_cost = 0, packets = 0;
-  for (auto _ : state) {
-    Packet p = flow_packet(7);
-    const auto r = nf.run_hook(Hook::kForward, p, "eth0", "", 0);
-    benchmark::DoNotOptimize(r);
-    sim_cost += r.cost;
-    ++packets;
-  }
-  state.counters["sim_ns_per_pkt"] =
-      static_cast<double>(sim_cost) / static_cast<double>(packets);
-}
-BENCHMARK(BM_FilterChainScan)->Arg(0)->Arg(6)->Arg(32)->Arg(128);
-
-// Deterministic replay of the three scenarios above (simulated charge per
-// packet, independent of wall-clock) for the JSON report.
 double sim_ns_miss(int standing_rules, std::uint32_t packets) {
   Netfilter nf(kCosts);
   setup_rules(nf, standing_rules);
@@ -138,23 +79,26 @@ double sim_ns_hit(int standing_rules, std::uint32_t packets) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-
+  // The replays are closed-form; the seed is reported only.
+  const auto seed = nestv::bench::parse_args(argc, argv).seed;
   // The simulated per-packet charges are deterministic; report them for
   // the standing-rule counts the figures use.
-  nestv::bench::JsonReport report("abl_conntrack");
+  nestv::bench::JsonReport report("abl_conntrack", seed);
   const double miss6 = sim_ns_miss(6, 4096);
   const double hit6 = sim_ns_hit(6, 4096);
+  const double scan6 = sim_ns_forward_scan(6, 4096);
+  const double scan128 = sim_ns_forward_scan(128, 4096);
+  std::printf("ablation: conntrack hit vs miss (simulated ns/packet)\n");
+  std::printf("  NAT miss, 6 standing rules      %8.1f\n", miss6);
+  std::printf("  NAT hit, 6 standing rules       %8.1f  (miss/hit %.2fx)\n",
+              hit6, miss6 / hit6);
+  std::printf("  FORWARD scan, 6 rules           %8.1f\n", scan6);
+  std::printf("  FORWARD scan, 128 rules         %8.1f\n", scan128);
   report.add("sim_ns_per_pkt_miss_6rules", miss6);
   report.add("sim_ns_per_pkt_hit_6rules", hit6);
   report.add("miss_over_hit_ratio_6rules", miss6 / hit6);
-  report.add("sim_ns_per_pkt_forward_scan_6rules",
-             sim_ns_forward_scan(6, 4096));
-  report.add("sim_ns_per_pkt_forward_scan_128rules",
-             sim_ns_forward_scan(128, 4096));
+  report.add("sim_ns_per_pkt_forward_scan_6rules", scan6);
+  report.add("sim_ns_per_pkt_forward_scan_128rules", scan128);
   report.write();
   return 0;
 }

@@ -24,7 +24,7 @@ double stream_at(bool cc, sim::Duration window, std::uint64_t seed) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto seed = nestv::bench::seed_from_args(argc, argv);
+  const auto seed = nestv::bench::parse_args(argc, argv).seed;
   std::printf("ablation: fixed-window vs slow-start+AIMD (NoCont stream "
               "@1280B)\n");
   std::printf("%12s | %14s | %14s\n", "window", "fixed Mbps", "cc Mbps");

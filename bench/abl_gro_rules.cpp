@@ -26,7 +26,7 @@ double nat_stream(std::uint64_t seed, bool gro, int standing_rules) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto seed = nestv::bench::seed_from_args(argc, argv);
+  const auto seed = nestv::bench::parse_args(argc, argv).seed;
   std::printf("ablation: mechanisms behind the fig 2 degradation (NAT "
               "stream @1280B)\n\n");
 

@@ -11,7 +11,7 @@
 
 int main(int argc, char** argv) {
   using namespace nestv;
-  const auto seed = bench::seed_from_args(argc, argv);
+  const auto seed = bench::parse_args(argc, argv).seed;
 
   std::printf("ablation: Hostlo reflect cost vs served-VM count\n");
   std::printf("%6s | %10s | %14s | %14s\n", "VMs", "rr lat us",

@@ -3,7 +3,7 @@
 //
 // Runs scenario::run_macro_scale (two-tier ToR/spine fabric with
 // deterministic per-flow ECMP, NAT / BrFusion / Hostlo churn flows on the
-// Google-trace placement) once per shard count and reports three things:
+// Google-trace placement) once per shard count and reports two things:
 //   * equivalence: every simulated output of the shards=N run must match
 //     the shards=1 run bit-for-bit.  `shards1_equivalence_max_delta` is
 //     the max absolute difference over those outputs and CI gates it with
@@ -11,11 +11,12 @@
 //     fabrics: ECMP tie-breaks are a pure hash of the flow tuple, so the
 //     path — like the keyed wire delivery order — is a property of the
 //     flow, not of the execution mode.
-//   * churn throughput: wall-clock events/sec per shard count ("wall" in
-//     the metric name exempts the host-dependent numbers from gating).
 //   * bytes of per-flow state: conntrack + flowcache resident bytes per
 //     tracked flow at peak occupancy (EXPERIMENTS.md compares it with the
 //     node-based structures the slab tables replaced).
+//
+// Every metric is a simulated output; the wall-clock speed of the sharded
+// conductor is measured by benchmark/nestv_bench (macro_churn_s1/s4).
 //
 // Flags (beyond the common `[seed] [--jobs N] [--shards N]`):
 //   --full          200 machines / 100k flows — the EXPERIMENTS.md
@@ -33,7 +34,6 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -90,12 +90,6 @@ MacroScaleResult run_point(const MacroScaleConfig& base, int shards) {
   return nestv::scenario::run_macro_scale(cfg);
 }
 
-double events_per_sec(const MacroScaleResult& r) {
-  return r.wall_seconds > 0
-             ? static_cast<double>(r.events_total) / r.wall_seconds
-             : 0.0;
-}
-
 /// Max absolute difference over every simulated (deterministic) output.
 /// Zero means the sharded run is the single-engine run, bit for bit.
 double max_delta(const MacroScaleResult& a, const MacroScaleResult& b) {
@@ -111,13 +105,12 @@ double max_delta(const MacroScaleResult& a, const MacroScaleResult& b) {
 void print_point(const MacroScaleResult& r, double delta) {
   std::printf(
       "  shards=%-2d workers=%-2u events=%llu  epochs=%llu (%llu fused)  "
-      "posts=%llu  wall=%.3fs  ev/s=%.3g  delta=%.17g\n",
+      "posts=%llu  delta=%.17g\n",
       r.shards, r.worker_threads,
       static_cast<unsigned long long>(r.events_total),
       static_cast<unsigned long long>(r.epochs),
       static_cast<unsigned long long>(r.fused_epochs),
-      static_cast<unsigned long long>(r.cross_posts), r.wall_seconds,
-      events_per_sec(r), delta);
+      static_cast<unsigned long long>(r.cross_posts), delta);
 }
 
 std::uint64_t sum_u64(const std::vector<std::uint64_t>& v) {
@@ -129,25 +122,6 @@ std::uint64_t sum_u64(const std::vector<std::uint64_t>& v) {
 nestv::sim::ConductorStats conductor_info(const MacroScaleResult& r) {
   return {r.epochs,       r.fused_epochs, r.cross_posts, r.drained_posts,
           r.idle_windows, r.barrier_wait_ns};
-}
-
-/// Wall-clock speedup numbers only mean something when every worker can
-/// have a core.  When the host has fewer hardware threads than the widest
-/// sweep point has workers, say so and record it next to the wall metrics
-/// ("wall" in the name keeps it out of the determinism gate, like the
-/// numbers it annotates).
-bool note_oversubscription(nestv::bench::JsonReport& report, int shards) {
-  const unsigned hw = std::thread::hardware_concurrency();
-  const bool oversubscribed = hw != 0 && hw < static_cast<unsigned>(shards);
-  if (oversubscribed) {
-    std::printf(
-        "note: %d workers on %u hardware threads — wall speedups below "
-        "measure oversubscription, not scaling\n",
-        shards, hw);
-  }
-  report.add("wall_oversubscribed_s" + std::to_string(shards),
-             oversubscribed ? 1.0 : 0.0);
-  return oversubscribed;
 }
 
 void add_sim_outputs(nestv::bench::JsonReport& report,
@@ -210,9 +184,6 @@ int main(int argc, char** argv) {
                               r.per_shard_events);
     report.set_conductor_info(conductor_info(r));
     add_sim_outputs(report, r);
-    note_oversubscription(report, r.shards);
-    report.add("wall_seconds", r.wall_seconds);
-    report.add("events_per_sec_wall", events_per_sec(r));
     report.write();
     return 0;
   }
@@ -259,20 +230,6 @@ int main(int argc, char** argv) {
                static_cast<double>(r.drained_posts));
     report.add("idle_windows" + suffix,
                static_cast<double>(sum_u64(r.idle_windows)));
-  }
-  // Wall metrics: host-dependent, "wall" in the name exempts them from
-  // the determinism gate.
-  for (const auto& r : results) {
-    const std::string suffix = "_s" + std::to_string(r.shards);
-    report.add("wall_seconds" + suffix, r.wall_seconds);
-    report.add("events_per_sec_wall" + suffix, events_per_sec(r));
-  }
-  for (const auto& r : results) {
-    if (r.shards == 1) continue;
-    const std::string suffix = "_s" + std::to_string(r.shards);
-    report.add("speedup_wall" + suffix,
-               events_per_sec(r) / events_per_sec(base_r));
-    note_oversubscription(report, r.shards);
   }
   std::printf(
       "\nequivalence max delta over sweep: %.17g (must be exactly 0)\n",

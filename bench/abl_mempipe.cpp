@@ -85,7 +85,7 @@ PairResult run_hostlo(std::uint64_t seed) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto seed = nestv::bench::seed_from_args(argc, argv);
+  const auto seed = nestv::bench::parse_args(argc, argv).seed;
   std::printf("ablation: Hostlo vs MemPipe-style shared-memory localhost "
               "@1024B\n");
   std::printf("%-9s | %10s | %12s | %16s\n", "transport", "rr lat us",

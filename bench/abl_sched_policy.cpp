@@ -13,8 +13,7 @@
 int main(int argc, char** argv) {
   using namespace nestv;
   // Default seed 2019: the gated placement numbers are measured at it.
-  const std::uint64_t seed =
-      argc > 1 ? bench::whole_number_arg("seed", argv[1]) : 2019;
+  const std::uint64_t seed = bench::parse_args(argc, argv, {}, 2019).seed;
   trace::TraceConfig tc;
   tc.seed = seed;
   const auto users = trace::generate_google_like_trace(tc);

@@ -1,6 +1,6 @@
 // Ablation — pluggable network-stack backends (the StackBackend seam).
 //
-// Three questions, one bench:
+// Two questions, one bench:
 //
 //  1. Backend sweep: the full stack versus the compact fast-path stack on
 //     an identical two-endpoint scenario, across message sizes.  The
@@ -15,15 +15,7 @@
 //     provisioned softirq capacity; `consolidation_win_gN` is the ratio of
 //     packets per provisioned core-second, and the per-guest CPU
 //     attribution must exactly cover the shared worker's busy time.
-//
-//  3. Seam equivalence: a scenario built from directly-constructed
-//     FullStack objects versus the same scenario built through
-//     make_stack(StackMode::kFull).  `fullstack_equivalence_max_delta` is
-//     the largest absolute difference across every simulated metric and is
-//     gated at exactly zero in CI — the refactor must be invisible.
-#include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -49,11 +41,6 @@ using net::StackMode;
 
 const Ipv4Cidr kSubnet(Ipv4Address(10, 0, 0, 0), 24);
 
-/// How the point constructs its stacks: through the factory (the seam) or
-/// by direct FullStack construction (the pre-seam idiom).  Identical
-/// results prove the seam is pure structure.
-enum class Construct { kFactory, kDirect };
-
 struct Point {
   double rr_lat_us = 0.0;
   double stream_mbps = 0.0;
@@ -61,9 +48,6 @@ struct Point {
   std::uint64_t rr_events = 0;  ///< events of the RR phase alone
   std::uint64_t rr_packets = 0;
   std::uint64_t packets = 0;  ///< app-level: 2/transaction + stream chunks
-  std::uint64_t end_time = 0;
-  std::uint64_t delivered = 0;  ///< stack-level deliveries, both ends
-  std::uint64_t arp_tx = 0;
 };
 
 double rr_events_per_packet(const Point& p) {
@@ -81,8 +65,7 @@ double events_per_packet(const Point& p) {
 /// One two-endpoint scenario on a bridge: a bounded UDP RR wave followed by
 /// a chunked TCP stream, both ends on `mode` stacks with dedicated softirq
 /// resources.
-Point run_point(StackMode mode, std::uint32_t msg_bytes,
-                Construct construct = Construct::kFactory) {
+Point run_point(StackMode mode, std::uint32_t msg_bytes) {
   const sim::CostModel costs{};
   sim::Engine engine;
   net::Bridge bridge(engine, "br", costs);
@@ -90,14 +73,8 @@ Point run_point(StackMode mode, std::uint32_t msg_bytes,
   sim::SerialResource soft_a(engine, "cli/softirq");
   sim::SerialResource soft_b(engine, "srv/softirq");
 
-  std::unique_ptr<StackBackend> cli, srv;
-  if (construct == Construct::kFactory) {
-    cli = net::make_stack(mode, engine, "cli", costs, &soft_a);
-    srv = net::make_stack(mode, engine, "srv", costs, &soft_b);
-  } else {
-    cli = std::make_unique<net::FullStack>(engine, "cli", costs, &soft_a);
-    srv = std::make_unique<net::FullStack>(engine, "srv", costs, &soft_b);
-  }
+  const auto cli = net::make_stack(mode, engine, "cli", costs, &soft_a);
+  const auto srv = net::make_stack(mode, engine, "srv", costs, &soft_b);
   net::Device::connect(pa, 0, bridge, bridge.add_port());
   net::Device::connect(pb, 0, bridge, bridge.add_port());
   const Ipv4Address ip_a(10, 0, 0, 1), ip_b(10, 0, 0, 2);
@@ -163,25 +140,7 @@ Point run_point(StackMode mode, std::uint32_t msg_bytes,
   out.rr_packets = transactions * 2;
   out.packets =
       transactions * 2 + (stream_delivered + msg_bytes - 1) / msg_bytes;
-  out.end_time = engine.now();
-  out.delivered = cli->packets_delivered() + srv->packets_delivered();
-  out.arp_tx = cli->arp_requests_sent() + srv->arp_requests_sent();
   return out;
-}
-
-double max_point_delta(const Point& a, const Point& b) {
-  double d = 0.0;
-  d = std::max(d, std::fabs(a.rr_lat_us - b.rr_lat_us));
-  d = std::max(d, std::fabs(a.stream_mbps - b.stream_mbps));
-  auto udiff = [](std::uint64_t x, std::uint64_t y) {
-    return static_cast<double>(x > y ? x - y : y - x);
-  };
-  d = std::max(d, udiff(a.events, b.events));
-  d = std::max(d, udiff(a.packets, b.packets));
-  d = std::max(d, udiff(a.end_time, b.end_time));
-  d = std::max(d, udiff(a.delivered, b.delivered));
-  d = std::max(d, udiff(a.arp_tx, b.arp_tx));
-  return d;
 }
 
 // ---- consolidation ---------------------------------------------------------
@@ -307,11 +266,8 @@ Consolidation consolidation_point(int guests) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::uint64_t seed =
-      argc > 1 && argv[1][0] != '-'
-          ? nestv::bench::whole_number_arg("seed", argv[1])
-          : 42;
-  (void)seed;  // the scenarios are closed-form; seed is reported only
+  // The scenarios are closed-form; the seed is reported only.
+  const auto seed = bench::parse_args(argc, argv).seed;
 
   const std::uint32_t sizes[] = {64, 256, 512, 1024, 1280, 1408};
   const StackMode backends[] = {StackMode::kFull, StackMode::kFastPath};
@@ -374,15 +330,6 @@ int main(int argc, char** argv) {
       report.add("attribution_coverage_g8", c.attribution_coverage);
     }
   }
-
-  // ---- seam equivalence (CI-gated at exactly zero) ----------------------
-  const Point factory = run_point(StackMode::kFull, 1280, Construct::kFactory);
-  const Point direct = run_point(StackMode::kFull, 1280, Construct::kDirect);
-  const double equiv = max_point_delta(factory, direct);
-  std::printf("\nfullstack seam equivalence: max metric delta = %g "
-              "(must be exactly 0)\n",
-              equiv);
-  report.add("fullstack_equivalence_max_delta", equiv);
 
   report.add("events_total",
              static_cast<double>(at_1280[0].events + at_1280[1].events));

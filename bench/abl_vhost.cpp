@@ -10,7 +10,7 @@
 
 int main(int argc, char** argv) {
   using namespace nestv;
-  const auto seed = bench::seed_from_args(argc, argv);
+  const auto seed = bench::parse_args(argc, argv).seed;
 
   std::printf("ablation: vhost vs QEMU-emulated virtio (NoCont topology)\n");
   std::printf("%-12s | %12s | %10s\n", "backend", "stream Mbps", "rr lat us");

@@ -14,8 +14,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <initializer_list>
 #include <string>
 #include <thread>
 #include <vector>
@@ -31,95 +29,33 @@
 
 namespace nestv::bench {
 
-/// Command line shared by every bench: `[seed] [--jobs N] [--shards N]`.
-/// `--jobs` parallelizes across a sweep's measurement points; `--shards`
-/// runs one configuration of a bench that drives a ShardedConductor
-/// (abl_macro_scale; 0 = the bench's own shard sweep).
-struct BenchArgs {
-  std::uint64_t seed = 42;
-  int jobs = 1;
-  int shards = 0;
-};
-
-/// Parses the shared flags.  `bench_flags` names the flags the bench
-/// parses itself (a trailing '=' takes any `--flag=value`, as in
-/// abl_macro_scale's "--machines=").  Any other `-`-prefixed argument ends
-/// the bench with exit status 2 rather than silently running a default.
-inline BenchArgs parse_args(int argc, char** argv,
-                            std::initializer_list<const char*> bench_flags =
-                                {}) {
-  BenchArgs a;
-  const auto is_bench_flag = [&bench_flags](const char* arg) {
-    for (const char* flag : bench_flags) {
-      const std::size_t n = std::strlen(flag);
-      const bool takes_value = n > 0 && flag[n - 1] == '=';
-      if (takes_value ? std::strncmp(arg, flag, n) == 0
-                      : std::strcmp(arg, flag) == 0) {
-        return true;
-      }
-    }
-    return false;
-  };
-  const auto count = [](const char* what, const char* text) {
-    return static_cast<int>(whole_number_arg(what, text, 1 << 16));
-  };
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strcmp(arg, "--jobs") == 0) {
-      a.jobs = count("--jobs", i + 1 < argc ? argv[++i] : nullptr);
-    } else if (std::strncmp(arg, "--jobs=", 7) == 0) {
-      a.jobs = count("--jobs", arg + 7);
-    } else if (std::strcmp(arg, "--shards") == 0) {
-      a.shards = count("--shards", i + 1 < argc ? argv[++i] : nullptr);
-    } else if (std::strncmp(arg, "--shards=", 9) == 0) {
-      a.shards = count("--shards", arg + 9);
-    } else if (arg[0] != '-') {
-      a.seed = whole_number_arg("seed", arg);
-    } else if (!is_bench_flag(arg)) {
-      std::fprintf(stderr, "unknown flag '%s'\n", arg);
-      std::exit(2);
-    }
-  }
-  if (a.jobs < 1) a.jobs = 1;
-  return a;
-}
-
-/// Oversubscription guard: sweeping J points in parallel while each point
-/// itself runs T worker threads (a sharded conductor) puts J*T runnable
-/// threads on the host.  Past the hardware thread count that adds only
-/// scheduler churn and distorts every wall-clock reading, so sweeps clamp
-/// `--jobs` to hardware_concurrency / T and the JSON execution section
-/// reports the clamped value — what actually ran, not what was asked for.
-/// Results are unaffected either way (each point is deterministic).
-inline int effective_jobs(int jobs, int per_point_threads = 1) {
+/// Oversubscription guard: sweeping more points in parallel than the host
+/// has hardware threads adds only scheduler churn, so sweeps clamp
+/// `--jobs` to hardware_concurrency and the JSON execution section reports
+/// the clamped value — what actually ran, not what was asked for.  Results
+/// are unaffected either way (each point is deterministic).
+inline int effective_jobs(int jobs) {
   if (jobs < 1) jobs = 1;
-  if (per_point_threads < 1) per_point_threads = 1;
   const unsigned hw = std::thread::hardware_concurrency();
-  if (hw == 0) return jobs;  // unknown topology: trust the caller
-  const int budget = static_cast<int>(hw) / per_point_threads;
-  return budget < 1 ? 1 : (jobs < budget ? jobs : budget);
+  // hw == 0: unknown topology, trust the caller.
+  return hw == 0 || jobs < static_cast<int>(hw) ? jobs : static_cast<int>(hw);
 }
 
 /// Maps `fn` over `inputs` on up to `jobs` worker threads and returns the
 /// results in input order.  Each call of `fn` must be self-contained (every
 /// measurement point builds its own Testbed/Engine, and all hot-path
 /// counters — InlineTask fallbacks, PacketPool — are thread-local), so a
-/// parallel sweep produces bit-for-bit the sequential output.  Points that
-/// spin up their own workers pass that count as `per_point_threads` so the
-/// oversubscription clamp sees the true thread demand.
+/// parallel sweep produces bit-for-bit the sequential output.
 template <typename In, typename Fn>
-auto parallel_sweep(const std::vector<In>& inputs, int jobs, Fn fn,
-                    int per_point_threads = 1)
+auto parallel_sweep(const std::vector<In>& inputs, int jobs, Fn fn)
     -> std::vector<decltype(fn(inputs[0]))> {
   using Out = decltype(fn(inputs[0]));
   std::vector<Out> results(inputs.size());
   const int asked = jobs;
-  jobs = effective_jobs(jobs, per_point_threads);
+  jobs = effective_jobs(jobs);
   if (jobs < asked) {
-    std::printf(
-        "note: --jobs %d clamped to %d (%u hardware threads / %d "
-        "threads per point)\n",
-        asked, jobs, std::thread::hardware_concurrency(), per_point_threads);
+    std::printf("note: --jobs %d clamped to %d (%u hardware threads)\n",
+                asked, jobs, std::thread::hardware_concurrency());
   }
   if (jobs <= 1 || inputs.size() <= 1) {
     for (std::size_t i = 0; i < inputs.size(); ++i) {
@@ -150,10 +86,6 @@ inline const std::vector<std::uint32_t>& message_sizes() {
   static const std::vector<std::uint32_t> sizes{64,  256,  512,
                                                 1024, 1280, 1408};
   return sizes;
-}
-
-inline std::uint64_t seed_from_args(int argc, char** argv) {
-  return argc > 1 ? whole_number_arg("seed", argv[1]) : 42;
 }
 
 /// Per-run datapath statistics emitted into every bench's JSON: engine

@@ -4,7 +4,7 @@
 
 int main(int argc, char** argv) {
   using namespace nestv;
-  const auto seed = bench::seed_from_args(argc, argv);
+  const auto seed = bench::parse_args(argc, argv).seed;
   const scenario::ServerMode modes[] = {scenario::ServerMode::kNoCont,
                                         scenario::ServerMode::kNat,
                                         scenario::ServerMode::kBrFusion};

@@ -47,7 +47,7 @@ std::vector<double> boot_samples(bool brfusion, std::uint64_t seed,
 
 int main(int argc, char** argv) {
   using namespace nestv;
-  const auto seed = bench::seed_from_args(argc, argv);
+  const auto seed = bench::parse_args(argc, argv).seed;
   constexpr int kRuns = 100;
 
   // Same seed: the runtime/netns/app phase draws are identical streams, so

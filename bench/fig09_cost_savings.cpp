@@ -13,7 +13,7 @@
 
 int main(int argc, char** argv) {
   using namespace nestv;
-  const auto seed = bench::seed_from_args(argc, argv);
+  const auto seed = bench::parse_args(argc, argv).seed;
 
   trace::TraceConfig tc;
   tc.seed = seed == 42 ? 2019 : seed;  // default reproduces EXPERIMENTS.md

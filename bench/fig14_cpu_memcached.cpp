@@ -8,7 +8,7 @@
 
 int main(int argc, char** argv) {
   using namespace nestv;
-  const auto seed = bench::seed_from_args(argc, argv);
+  const auto seed = bench::parse_args(argc, argv).seed;
   const scenario::CrossVmMode modes[] = {
       scenario::CrossVmMode::kSameNode, scenario::CrossVmMode::kHostlo,
       scenario::CrossVmMode::kNatCrossVm, scenario::CrossVmMode::kOverlay};

@@ -52,10 +52,9 @@ class JsonReport {
   /// Optionally attaches the conductor's epoch-loop counters
   /// (ShardedConductor::stats()); serialized as a nested "execution"
   /// object.  Everything there describes *how* the run executed, not the
-  /// simulated system; barrier_wait_ns is wall-clock and idle_windows
-  /// depends on the window schedule, so none of it is gated —
-  /// check_bench.py folds it into the BENCH_summary.json "execution"
-  /// section only.
+  /// simulated system, so none of it is gated — check_bench.py folds it
+  /// into the BENCH_summary.json "execution" section only.  The wall-clock
+  /// barrier_wait_ns is not written: wall time is benchmark/'s to report.
   void set_conductor_info(sim::ConductorStats info) {
     conductor_ = std::move(info);
     have_conductor_ = true;
@@ -93,8 +92,13 @@ class JsonReport {
                    static_cast<unsigned long long>(conductor_.cross_posts));
       std::fprintf(f, "    \"drained_posts\": %llu,\n",
                    static_cast<unsigned long long>(conductor_.drained_posts));
-      write_u64_array(f, "idle_windows", conductor_.idle_windows, ",\n");
-      write_u64_array(f, "barrier_wait_ns", conductor_.barrier_wait_ns, "\n");
+      std::fprintf(f, "    \"idle_windows\": [");
+      for (std::size_t i = 0; i < conductor_.idle_windows.size(); ++i) {
+        std::fprintf(
+            f, "%s%llu", i ? ", " : "",
+            static_cast<unsigned long long>(conductor_.idle_windows[i]));
+      }
+      std::fprintf(f, "]\n");
       std::fprintf(f, "  },\n");
     }
     std::fprintf(f, "  \"metrics\": [\n");
@@ -128,17 +132,6 @@ class JsonReport {
     double value = 0.0;
     double target = std::nan("");
   };
-
-  static void write_u64_array(std::FILE* f, const char* key,
-                              const std::vector<std::uint64_t>& values,
-                              const char* trailer) {
-    std::fprintf(f, "    \"%s\": [", key);
-    for (std::size_t i = 0; i < values.size(); ++i) {
-      std::fprintf(f, "%s%llu", i ? ", " : "",
-                   static_cast<unsigned long long>(values[i]));
-    }
-    std::fprintf(f, "]%s", trailer);
-  }
 
   /// JSON has no NaN/Inf literals; clamp those to null.
   static std::string number(double v) {

@@ -4,11 +4,13 @@
 #include <cmath>
 #include <cstdio>
 
+#include "bench_args.hpp"
 #include "json_report.hpp"
 #include "orch/pricing.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace nestv::orch;
+  const auto seed = nestv::bench::parse_args(argc, argv).seed;
   AwsM5Catalog catalog;
 
   std::printf("table 2: AWS EC2 m5 on-demand models\n");
@@ -33,7 +35,7 @@ int main() {
   }
   std::printf("\nrelative columns consistent with absolute specs: %s\n",
               consistent ? "yes" : "NO");
-  nestv::bench::JsonReport report("tab02_aws_catalog");
+  nestv::bench::JsonReport report("tab02_aws_catalog", seed);
   report.add("catalog_models", static_cast<double>(catalog.models().size()));
   report.add("relative_columns_consistent", consistent ? 1.0 : 0.0, 1.0);
   report.write();

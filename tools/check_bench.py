@@ -1,27 +1,29 @@
 #!/usr/bin/env python3
-"""Guard the deterministic benchmark metrics.
+"""Guard the benchmark metrics.
 
-Every bench writes ``BENCH_<name>.json`` with a flat metric list.  All
-simulated metrics are deterministic for a given seed (EXPERIMENTS.md:
-"all runs are deterministic"), so CI can hold them to exact expected
-values; only wall-clock readings (and allocator-version-dependent heap
-counters) legitimately vary between runs and machines.
+Every bench writes ``BENCH_<name>.json`` with a flat metric list.  Every
+metric is a simulated output, deterministic for a given seed
+(EXPERIMENTS.md: "all runs are deterministic"), so every metric a bench
+writes is gated: CI holds each one to its exact expected value.  Wall
+clock is measured by benchmark/ (nestv_bench), never by bench/; a bench
+that starts writing a host-dependent number fails ``check`` as
+unbaselined or mismatched.
 
 Modes:
   snapshot <bench_dir> -o expected.json
-      Record the deterministic metrics of every BENCH_*.json in
-      <bench_dir> as the expected baseline.
+      Record the metrics of every BENCH_*.json in <bench_dir> as the
+      expected baseline.
   check <bench_dir> --expected expected.json [--tolerance-pct P]
-      Fail (exit 1) if any deterministic metric is missing or deviates
+      Fail (exit 1) if any metric is missing, unbaselined or deviates
       from its expected value by more than P percent (default 0: exact,
       which is the EXPERIMENTS.md contract for seeded runs).
   diff <dir_a> <dir_b>
-      Fail if the deterministic metrics of the two directories differ at
-      all — used to prove ``--jobs N`` sweep output equals sequential.
+      Fail if the metrics of the two directories differ at all — used to
+      prove ``--jobs N`` sweep output equals sequential.
   summarize <bench_dir> -o BENCH_summary.json
-      Consolidate every BENCH_*.json (all metrics, wall-clock included,
-      plus the execution shape: shards, worker threads, per-shard event
-      counts) into one artifact for CI upload and cross-run comparison.
+      Consolidate every BENCH_*.json (all metrics plus the execution
+      shape: shards, worker threads, per-shard event counts) into one
+      artifact for CI upload and cross-run comparison.
 """
 
 import argparse
@@ -30,19 +32,7 @@ import json
 import os
 import sys
 
-# Metric names containing these substrings are not simulation outputs:
-#   wall        - wall-clock timings (events_per_sec_wall, wall_seconds)
-#   heap_allocs - counts real allocator traffic; deterministic on one
-#                 machine but dependent on the C++ runtime's internal
-#                 allocation behaviour, so not comparable across images
-NONDETERMINISTIC_SUBSTRINGS = ("wall", "heap_allocs")
-
-
-def is_deterministic(name: str) -> bool:
-    return not any(s in name for s in NONDETERMINISTIC_SUBSTRINGS)
-
-
-def load_dir(bench_dir: str, deterministic_only: bool = True) -> dict:
+def load_dir(bench_dir: str) -> dict:
     """Returns {bench_name: {metric_name: value}}."""
     out = {}
     paths = sorted(glob.glob(os.path.join(bench_dir, "BENCH_*.json")))
@@ -55,26 +45,21 @@ def load_dir(bench_dir: str, deterministic_only: bool = True) -> dict:
     for path in paths:
         with open(path) as f:
             doc = json.load(f)
-        out[doc["bench"]] = {
-            m["name"]: m["value"]
-            for m in doc["metrics"]
-            if not deterministic_only or is_deterministic(m["name"])
-        }
+        out[doc["bench"]] = {m["name"]: m["value"] for m in doc["metrics"]}
     return out
 
 
 def load_execution(bench_dir: str) -> dict:
     """Returns {bench_name: {shards, worker_threads, per_shard_events,
-    [epochs, fused_epochs, cross_posts, drained_posts, idle_windows,
-    barrier_wait_ns]}}.
+    [epochs, fused_epochs, cross_posts, drained_posts, idle_windows]}}.
 
-    Execution shape is reporting only (it varies with the host and the
-    --shards flag) and is therefore folded into the summary artifact but
-    never compared by check/diff.  Benches driving a ShardedConductor also
-    emit a nested "execution" object with the conductor's epoch-loop
-    counters (ShardedConductor::stats()); those keys are flattened in.
-    Older BENCH files without the fields default to the single-engine
-    shape.
+    Execution shape is reporting only (worker_threads follows the --jobs
+    clamp to the host's hardware threads, and the shape follows the
+    --shards flag), so it is folded into the summary artifact but never
+    compared by check/diff.  Benches driving a ShardedConductor also emit
+    a nested "execution" object with the conductor's epoch-loop counters
+    (ShardedConductor::stats()); those keys are flattened in.  Older
+    BENCH files without the fields default to the single-engine shape.
     """
     out = {}
     paths = sorted(glob.glob(os.path.join(bench_dir, "BENCH_*.json")))
@@ -164,7 +149,7 @@ def main() -> int:
             json.dump(snapshot, f, indent=2, sort_keys=True)
             f.write("\n")
         n = sum(len(m) for m in snapshot.values())
-        print(f"recorded {n} deterministic metrics "
+        print(f"recorded {n} metrics "
               f"from {len(snapshot)} benches -> {args.output}")
         return 0
 
@@ -186,11 +171,11 @@ def main() -> int:
         if failures:
             print(f"{failures} metric(s) deviate")
             return 1
-        print("all deterministic metrics match the expected baseline")
+        print("all metrics match the expected baseline")
         return 0
 
     if args.mode == "summarize":
-        benches = load_dir(args.bench_dir, deterministic_only=False)
+        benches = load_dir(args.bench_dir)
         execution = load_execution(args.bench_dir)
         summary = {
             "benches": benches,
@@ -213,7 +198,7 @@ def main() -> int:
         print(f"{failures} difference(s) between {args.dir_a} and "
               f"{args.dir_b}")
         return 1
-    print("deterministic metrics are identical")
+    print("metrics are identical")
     return 0
 
 
