@@ -109,20 +109,18 @@ Point run_point(StackMode mode, std::uint32_t msg_bytes) {
         [&stream_delivered](std::uint32_t n) { stream_delivered += n; });
   });
   const std::uint64_t stream_t0 = engine.now();
-  auto client = std::make_shared<net::TcpSocket>(
-      cli->tcp_connect(ip_a, ip_b, 5001, nullptr));
-  auto to_send = std::make_shared<std::uint64_t>(kStreamBytes);
-  auto pump = std::make_shared<std::function<void()>>();
-  *pump = [client, to_send, pump, msg_bytes] {
-    if (*to_send == 0) return;
-    const std::uint32_t chunk =
-        *to_send < msg_bytes ? std::uint32_t(*to_send) : msg_bytes;
-    *to_send -= chunk;
-    client->send(chunk, [pump] { (*pump)(); });
-  };
-  client->set_on_connected([pump] { (*pump)(); });
+  // With no app core, send() queues its bytes inline, so one loop issues
+  // every write as soon as the connection is up.
+  net::TcpSocket client = cli->tcp_connect(ip_a, ip_b, 5001, nullptr);
+  client.set_on_connected([&client, msg_bytes] {
+    for (std::uint64_t left = kStreamBytes; left > 0;) {
+      const std::uint32_t chunk =
+          left < msg_bytes ? std::uint32_t(left) : msg_bytes;
+      left -= chunk;
+      client.send(chunk);
+    }
+  });
   engine.run();
-  *pump = nullptr;  // break the self-reference before teardown
 
   Point out;
   const std::uint64_t stream_elapsed = engine.now() - stream_t0;

@@ -13,6 +13,13 @@ container::Runtime::AttachFn Cni::attach_fn(Options options) {
   };
 }
 
+container::Runtime::AttachFn Cni::join_pod() {
+  return [](container::Pod::Fragment&,
+            std::function<void(container::Runtime::AttachOutcome)> done) {
+    done(container::Runtime::AttachOutcome{true, -1, net::Ipv4Address{}});
+  };
+}
+
 // ---- BridgeNatCni -----------------------------------------------------------
 
 BridgeNatCni::BridgeNatCni(sim::Rng rng, container::BootTimingModel timing)

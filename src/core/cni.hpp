@@ -44,6 +44,11 @@ class Cni {
 
   /// Adapter for Runtime::create_container.
   [[nodiscard]] container::Runtime::AttachFn attach_fn(Options options = {});
+
+  /// The attach of a container joining a namespace that is already wired
+  /// (a pod's later containers, every fragment of a Hostlo pod): nothing
+  /// to do, and no time passes.
+  [[nodiscard]] static container::Runtime::AttachFn join_pod();
 };
 
 /// The vanilla nested networking the paper calls "NAT".

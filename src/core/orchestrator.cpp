@@ -163,7 +163,8 @@ void Orchestrator::boot_containers(container::Pod& pod,
       std::make_shared<std::function<void(Deployment)>>(std::move(done));
 
   // The per-node network attach: the first container of a fragment wires
-  // the namespace; later ones join it (immediate attach).
+  // the namespace; later ones (and every Hostlo container, whose pod
+  // attach_pod already wired) join it.
   std::map<const container::Pod::Fragment*, bool> fragment_wired;
 
   for (std::size_t i = 0; i < request.containers.size(); ++i) {
@@ -174,12 +175,8 @@ void Orchestrator::boot_containers(container::Pod& pod,
     }
     assert(fragment != nullptr);
 
-    container::Runtime::AttachFn attach;
-    if (request.network == NetworkMode::kHostlo || fragment_wired[fragment]) {
-      attach = [](container::Pod::Fragment&,
-                  std::function<void(container::Runtime::AttachOutcome)>
-                      cb) { cb({true, -1, net::Ipv4Address{}}); };
-    } else {
+    container::Runtime::AttachFn attach = Cni::join_pod();
+    if (request.network != NetworkMode::kHostlo && !fragment_wired[fragment]) {
       Cni::Options opts;
       opts.publish_ports = request.containers[i].publish_ports;
       Cni& cni = request.network == NetworkMode::kBrFusion

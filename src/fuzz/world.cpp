@@ -4,11 +4,8 @@
 #include <memory>
 #include <utility>
 
-#include "container/runtime.hpp"
-#include "core/cni.hpp"
 #include "net/packet_pool.hpp"
-#include "scenario/overlay.hpp"
-#include "scenario/testbed.hpp"
+#include "scenario/deploy.hpp"
 #include "sim/rng.hpp"
 #include "sim/sharded_conductor.hpp"
 #include "vmm/datacenter.hpp"
@@ -17,21 +14,17 @@
 namespace nestv::fuzz {
 namespace {
 
-/// Sub-stream ids (Rng::of_stream) for world-side seed derivation.
-constexpr std::uint64_t kMachineStreamBase = 0x2000ULL;  // + machine ordinal
-constexpr std::uint64_t kFlowStreamBase = 0x3000ULL;     // + flow ordinal
+/// Sub-stream id base (Rng::of_stream) of the per-flow think-time RNGs.
+constexpr std::uint64_t kFlowStreamBase = 0x3000ULL;  // + flow ordinal
 
 /// Count-bounded UDP request/response loop (the wave unit of RR flows).
-/// Unlike the macro scenario's open-ended RrDriver, `remaining` bounds the
-/// wave: the driver issues exactly `remaining` requests and the engine
-/// goes idle when the last reply (or drop) lands.
+/// `remaining` bounds the wave: the driver issues exactly `remaining`
+/// requests and the engine goes idle when the last reply (or drop) lands.
+/// The bindings stay for the next wave (the macro scenario's ChurnFlow, by
+/// contrast, runs once and departs).
 struct RrFlow {
-  net::StackBackend* cli_stack = nullptr;
-  net::StackBackend* srv_stack = nullptr;
-  sim::SerialResource* cli_app = nullptr;
-  sim::SerialResource* srv_app = nullptr;
+  scenario::Endpoint cli, srv;
   sim::Engine* cli_engine = nullptr;
-  net::Ipv4Address cli_ip, srv_service_ip, srv_local_ip;
   std::uint16_t cli_port = 0, srv_port = 0;
   std::uint32_t bytes = 0;
   std::uint64_t think_quantum = 1;
@@ -41,24 +34,22 @@ struct RrFlow {
   std::uint32_t remaining = 0;
   std::uint64_t transactions = 0;
   std::uint64_t latency_ns_sum = 0;
-  bool bound = false;
 
   void issue() {
     issued_at = cli_engine->now();
-    cli_stack->udp_send(cli_ip, cli_port, srv_service_ip, srv_port, bytes,
-                        cli_app);
+    cli.stack->udp_send(cli.local_ip, cli_port, srv.service_ip, srv_port,
+                        bytes, cli.app);
   }
 };
 
 void bind_rr(const std::shared_ptr<RrFlow>& d) {
-  d->srv_stack->udp_bind(
-      d->srv_port, d->srv_app,
-      [d](net::StackBackend::UdpDelivery& del) {
-        d->srv_stack->udp_send(d->srv_local_ip, d->srv_port, del.src_ip,
-                               del.src_port, d->bytes, d->srv_app);
+  d->srv.stack->udp_bind(
+      d->srv_port, d->srv.app, [d](net::StackBackend::UdpDelivery& del) {
+        d->srv.stack->udp_send(d->srv.local_ip, d->srv_port, del.src_ip,
+                               del.src_port, d->bytes, d->srv.app);
       });
-  d->cli_stack->udp_bind(
-      d->cli_port, d->cli_app, [d](net::StackBackend::UdpDelivery&) {
+  d->cli.stack->udp_bind(
+      d->cli_port, d->cli.app, [d](net::StackBackend::UdpDelivery&) {
         d->latency_ns_sum += d->cli_engine->now() - d->issued_at;
         ++d->transactions;
         if (d->remaining == 0) return;
@@ -68,17 +59,15 @@ void bind_rr(const std::shared_ptr<RrFlow>& d) {
                           d->rng.uniform_int(0, d->think_slots));
         d->cli_engine->schedule_in(think, [d] { d->issue(); });
       });
-  d->bound = true;
 }
 
 /// Count-bounded TCP sender: each wave queues `remaining` messages; the
 /// connection stays open across waves (closing is not needed for
 /// quiescence — with everything ACKed the stack holds no timers).
 struct StreamFlow {
-  net::StackBackend* cli_stack = nullptr;
-  sim::SerialResource* cli_app = nullptr;
+  scenario::Endpoint cli;
   sim::Engine* cli_engine = nullptr;
-  net::Ipv4Address cli_ip, srv_service_ip;
+  net::Ipv4Address srv_service_ip;
   std::uint16_t srv_port = 0;
   std::uint32_t msg_bytes = 0;
   std::shared_ptr<net::TcpSocket> sock;
@@ -89,8 +78,8 @@ struct StreamFlow {
 
   void pump_wave() {
     if (sock == nullptr) {
-      sock = std::make_shared<net::TcpSocket>(cli_stack->tcp_connect(
-          cli_ip, srv_service_ip, srv_port, cli_app));
+      sock = std::make_shared<net::TcpSocket>(cli.stack->tcp_connect(
+          cli.local_ip, srv_service_ip, srv_port, cli.app));
       auto c = chain;
       sock->set_on_connected([c] { (*c)(); });
     } else {
@@ -99,45 +88,24 @@ struct StreamFlow {
   }
 };
 
-container::Runtime::AttachFn immediate_attach() {
-  return [](container::Pod::Fragment&,
-            std::function<void(container::Runtime::AttachOutcome)> done) {
-    done(container::Runtime::AttachOutcome{true, -1, net::Ipv4Address{}});
-  };
-}
-
-void boot(scenario::Testbed& bed, container::Pod::Fragment& frag,
-          const std::string& name, container::Runtime::AttachFn attach,
-          container::Container** out) {
-  bed.runtime_for(*frag.vm).create_container(
-      frag, container::Image{name + "-image"}, name, std::move(attach),
-      [out](container::Container& c, sim::Duration) { *out = &c; });
+scenario::PodMode pod_mode(FlowMode m) {
+  switch (m) {
+    case FlowMode::kNatStream: return scenario::PodMode::kNat;
+    case FlowMode::kBrFusionRr: return scenario::PodMode::kBrFusion;
+    case FlowMode::kHostloRr: return scenario::PodMode::kHostlo;
+    case FlowMode::kOverlayRr: return scenario::PodMode::kOverlay;
+  }
+  return scenario::PodMode::kNat;
 }
 
 /// One instantiated flow: the plan's FlowPlan plus the live objects.
 struct LiveFlow {
   const FlowPlan* plan = nullptr;
   int index = 0;
-  scenario::Testbed* srv_bed = nullptr;
   scenario::Testbed* cli_bed = nullptr;
-  container::Pod::Fragment* srv_frag = nullptr;
-  container::Pod::Fragment* cli_frag = nullptr;  // Hostlo/Overlay only
-  container::Container* srv_container = nullptr;
-  container::Container* cli_container = nullptr;  // Hostlo/Overlay only
-  vmm::Vm* srv_vm = nullptr;
-  std::vector<core::HostloCni::EndpointInfo> hostlo_eps;
-  std::unique_ptr<scenario::OverlayNetwork> overlay;  // Overlay only
+  std::unique_ptr<scenario::PodDeployment> pod;
   std::shared_ptr<RrFlow> rr;
   std::shared_ptr<StreamFlow> stream;
-
-  [[nodiscard]] bool ready() const {
-    if (srv_container == nullptr) return false;
-    if (plan->mode == FlowMode::kOverlayRr) {
-      return cli_container != nullptr;
-    }
-    if (plan->mode != FlowMode::kHostloRr) return true;
-    return cli_container != nullptr && hostlo_eps.size() == 2;
-  }
 };
 
 }  // namespace
@@ -161,19 +129,11 @@ WorldResult run_world(const FuzzPlan& plan, const RunShape& shape,
 
     // ---- machines + fabric ----------------------------------------------
     const int m_count = plan.machines;
-    std::vector<std::unique_ptr<scenario::Testbed>> beds;
-    beds.reserve(std::size_t(m_count));
-    for (int i = 0; i < m_count; ++i) {
-      scenario::TestbedConfig tc;
-      tc.seed = sim::Rng::mix(plan.seed,
-                              kMachineStreamBase + std::uint64_t(i));
-      tc.costs = costs;
-      tc.engine = &conductor.shard(i * shape.shards / m_count);
-      tc.machine.name = "host" + std::to_string(i);
-      tc.machine.bridge_subnet = net::Ipv4Cidr(
-          net::Ipv4Address(192, 168, std::uint8_t(100 + i), 0), 24);
-      beds.push_back(std::make_unique<scenario::Testbed>(tc));
-    }
+    const auto beds = scenario::make_machines(
+        conductor, m_count, plan.seed, costs, [](int i) {
+          return net::Ipv4Cidr(
+              net::Ipv4Address(192, 168, std::uint8_t(100 + i), 0), 24);
+        });
     // Flat learning-bridge fabric or the plan's two-tier ToR/spine fabric
     // (multi-path: the oracles then also cover the ECMP tie-break).
     std::unique_ptr<vmm::PhysicalSwitch> flat;
@@ -210,131 +170,71 @@ WorldResult run_world(const FuzzPlan& plan, const RunShape& shape,
     };
 
     // ---- flows -----------------------------------------------------------
-    // Two phases: populate the vector first, then build the world objects,
-    // because boot()/attach_pod() capture addresses of LiveFlow members
-    // and those must survive until the async callbacks fire.
+    // Every flow deploys its pod up front; only then does the clock move.
     std::vector<LiveFlow> flows;
     flows.reserve(plan.flows.size());
     for (int k = 0; k < int(plan.flows.size()); ++k) {
       if ((flow_mask >> k & 1) == 0) continue;
-      LiveFlow f;
-      f.plan = &plan.flows[std::size_t(k)];
-      f.index = k;
-      f.srv_bed = beds[std::size_t(f.plan->srv_machine)].get();
-      f.cli_bed = beds[std::size_t(f.plan->cli_machine)].get();
-      flows.push_back(std::move(f));
-    }
-    const net::StackMode pod_mode = shape.fastpath_pods
-                                        ? net::StackMode::kFastPath
-                                        : net::StackMode::kFull;
-    for (LiveFlow& f : flows) {
-      const FlowPlan& fp = *f.plan;
-      const std::string fname = "f" + std::to_string(f.index);
-      switch (fp.mode) {
-        case FlowMode::kNatStream: {
-          f.srv_vm = &f.srv_bed->create_vm_with_uplink(fname + "-srv");
-          track_stack(fname + "-srv-vm", fp.srv_machine, &f.srv_vm->stack());
-          auto& pod = f.srv_bed->create_pod(fname + "-pod");
-          f.srv_frag = &pod.add_fragment(*f.srv_vm, pod_mode);
-          track_stack(fname + "-srv-pod", fp.srv_machine,
-                      f.srv_frag->stack.get());
-          core::Cni::Options publish;
-          publish.publish_ports = {fp.srv_port};
-          boot(*f.srv_bed, *f.srv_frag, fname + "-srv",
-               f.srv_bed->nat_cni().attach_fn(publish), &f.srv_container);
-          break;
-        }
-        case FlowMode::kBrFusionRr: {
-          f.srv_vm = &f.srv_bed->create_vm_with_uplink(fname + "-srv");
-          track_stack(fname + "-srv-vm", fp.srv_machine, &f.srv_vm->stack());
-          auto& pod = f.srv_bed->create_pod(fname + "-pod");
-          f.srv_frag = &pod.add_fragment(*f.srv_vm, pod_mode);
-          track_stack(fname + "-srv-pod", fp.srv_machine,
-                      f.srv_frag->stack.get());
-          boot(*f.srv_bed, *f.srv_frag, fname + "-srv",
-               f.srv_bed->brfusion_cni().attach_fn({}), &f.srv_container);
-          break;
-        }
-        case FlowMode::kHostloRr: {
-          vmm::Vm& vm_a = f.srv_bed->create_vm_with_uplink(fname + "-a");
-          vmm::Vm& vm_b = f.srv_bed->create_vm_with_uplink(fname + "-b");
-          track_stack(fname + "-a-vm", fp.srv_machine, &vm_a.stack());
-          track_stack(fname + "-b-vm", fp.srv_machine, &vm_b.stack());
-          auto& pod = f.srv_bed->create_pod(fname + "-pod");
-          f.cli_frag = &pod.add_fragment(vm_a, pod_mode);
-          f.srv_frag = &pod.add_fragment(vm_b, pod_mode);
-          f.srv_vm = &vm_b;
-          track_stack(fname + "-cli-pod", fp.srv_machine,
-                      f.cli_frag->stack.get());
-          track_stack(fname + "-srv-pod", fp.srv_machine,
-                      f.srv_frag->stack.get());
-          LiveFlow* fl = &f;
-          f.srv_bed->hostlo_cni().attach_pod(
-              pod, [fl](std::vector<core::HostloCni::EndpointInfo> eps) {
-                fl->hostlo_eps = std::move(eps);
-              });
-          boot(*f.srv_bed, *f.cli_frag, fname + "-cli", immediate_attach(),
-               &f.cli_container);
-          boot(*f.srv_bed, *f.srv_frag, fname + "-srv", immediate_attach(),
-               &f.srv_container);
-          break;
-        }
-        case FlowMode::kOverlayRr: {
-          vmm::Vm& vm_a = f.srv_bed->create_vm_with_uplink(fname + "-a");
-          vmm::Vm& vm_b = f.srv_bed->create_vm_with_uplink(fname + "-b");
-          track_stack(fname + "-a-vm", fp.srv_machine, &vm_a.stack());
-          track_stack(fname + "-b-vm", fp.srv_machine, &vm_b.stack());
-          f.overlay = std::make_unique<scenario::OverlayNetwork>(*f.srv_bed);
-          auto& pod_a = f.srv_bed->create_pod(fname + "-poda");
-          auto& pod_b = f.srv_bed->create_pod(fname + "-podb");
-          f.cli_frag = &pod_a.add_fragment(vm_a, pod_mode);
-          f.srv_frag = &pod_b.add_fragment(vm_b, pod_mode);
-          f.srv_vm = &vm_b;
-          track_stack(fname + "-cli-pod", fp.srv_machine,
-                      f.cli_frag->stack.get());
-          track_stack(fname + "-srv-pod", fp.srv_machine,
-                      f.srv_frag->stack.get());
-          LiveFlow* fl = &f;
-          auto overlay_attach =
-              [fl](container::Pod::Fragment& fragment,
-                   std::function<void(container::Runtime::AttachOutcome)>
-                       done) {
-                const auto a = fl->overlay->attach(fragment);
-                done(container::Runtime::AttachOutcome{true, a.ifindex,
-                                                       a.ip});
-              };
-          boot(*f.srv_bed, *f.cli_frag, fname + "-cli", overlay_attach,
-               &f.cli_container);
-          boot(*f.srv_bed, *f.srv_frag, fname + "-srv", overlay_attach,
-               &f.srv_container);
-          break;
-        }
+      const FlowPlan& fp = plan.flows[std::size_t(k)];
+      const std::string fname = "f" + std::to_string(k);
+      const bool pair = fp.mode == FlowMode::kHostloRr ||
+                        fp.mode == FlowMode::kOverlayRr;
+      scenario::PodSpec spec;
+      spec.mode = pod_mode(fp.mode);
+      spec.port = fp.srv_port;
+      spec.srv_vm = fname + (pair ? "-b" : "-srv");
+      spec.srv_pod = fname + "-pod";
+      spec.srv = fname + "-srv";
+      if (pair) {
+        spec.cli_vm = fname + "-a";
+        spec.cli = fname + "-cli";
       }
+      if (fp.mode == FlowMode::kOverlayRr) {
+        spec.cli_pod = fname + "-poda";
+        spec.srv_pod = fname + "-podb";
+      }
+      spec.stack_mode = shape.fastpath_pods ? net::StackMode::kFastPath
+                                            : net::StackMode::kFull;
+      LiveFlow f;
+      f.plan = &fp;
+      f.index = k;
+      f.cli_bed = beds[std::size_t(fp.cli_machine)].get();
+      f.pod = scenario::deploy_pod(*beds[std::size_t(fp.srv_machine)],
+                                   std::move(spec));
+      const scenario::PodDeployment& d = *f.pod;
+      if (pair) {
+        track_stack(fname + "-a-vm", fp.srv_machine, &d.cli_vm->stack());
+        track_stack(fname + "-b-vm", fp.srv_machine, &d.srv_vm->stack());
+        track_stack(fname + "-cli-pod", fp.srv_machine,
+                    d.cli_frag->stack.get());
+      } else {
+        track_stack(fname + "-srv-vm", fp.srv_machine, &d.srv_vm->stack());
+      }
+      track_stack(fname + "-srv-pod", fp.srv_machine, d.srv_frag->stack.get());
+      flows.push_back(std::move(f));
     }
 
     // ---- deployment ------------------------------------------------------
-    const sim::Duration deploy_step = sim::milliseconds(10);
-    const sim::TimePoint deploy_limit = sim::seconds(30);
-    auto all_ready = [&flows] {
-      for (const LiveFlow& f : flows) {
-        if (!f.ready()) return false;
-      }
-      return true;
-    };
-    while (!all_ready()) {
-      if (conductor.now() >= deploy_limit) {
-        out.invariant_failures.push_back("deployment timed out");
-        return out;
-      }
-      conductor.run_until(conductor.now() + deploy_step);
+    const bool deployed = scenario::run_until_deployed(
+        conductor,
+        [&flows] {
+          for (const LiveFlow& f : flows) {
+            if (!f.pod->ready()) return false;
+          }
+          return true;
+        },
+        sim::seconds(30));
+    if (!deployed) {
+      out.invariant_failures.push_back("deployment timed out");
+      return out;
     }
 
-    // Program the overlay L2->VTEP tables now that every member attached;
-    // the oncache shape then flips the encap/decap fast path on.
+    // Every overlay programmed its VTEP tables as its members came up; the
+    // oncache shape now flips the encap/decap fast path on.
     for (LiveFlow& f : flows) {
-      if (f.overlay == nullptr) continue;
-      f.overlay->finalize();
-      if (shape.oncache) f.overlay->set_oncache_enabled(true);
+      if (shape.oncache && f.pod->overlay != nullptr) {
+        f.pod->overlay->set_oncache_enabled(true);
+      }
     }
 
     if (shape.flowcache) {
@@ -347,14 +247,17 @@ WorldResult run_world(const FuzzPlan& plan, const RunShape& shape,
       const std::string fname = "f" + std::to_string(f.index);
       sim::Rng flow_rng = sim::Rng::of_stream(
           plan.seed, kFlowStreamBase + std::uint64_t(f.index));
+      // Pairs dial from their client container; the other flows from a
+      // host process on the client machine.
+      const scenario::Endpoint server = f.pod->server();
+      const scenario::Endpoint client =
+          f.pod->is_pair() ? f.pod->client()
+                           : f.cli_bed->host_client(fname + "-cli");
       if (fp.mode == FlowMode::kNatStream) {
         auto d = std::make_shared<StreamFlow>();
-        d->cli_stack = &f.cli_bed->machine().stack();
-        d->cli_app = &f.cli_bed->machine().make_app_core(fname + "-cli");
+        d->cli = client;
         d->cli_engine = &f.cli_bed->engine();
-        d->cli_ip = f.cli_bed->machine().bridge_ip();
-        d->srv_service_ip = f.srv_vm->stack().iface_ip(
-            f.srv_vm->stack().ifindex_of("eth0"));
+        d->srv_service_ip = server.service_ip;
         d->srv_port = fp.srv_port;
         d->msg_bytes = fp.msg_bytes;
         auto chain = std::make_shared<std::function<void()>>();
@@ -366,39 +269,16 @@ WorldResult run_world(const FuzzPlan& plan, const RunShape& shape,
           dp->sock->send(dp->msg_bytes, [chain] { (*chain)(); });
         };
         auto delivered = d->delivered;
-        f.srv_frag->stack->tcp_listen(
-            fp.srv_port, f.srv_container->app_core(),
-            [delivered](net::TcpSocket sock) {
+        server.stack->tcp_listen(
+            fp.srv_port, server.app, [delivered](net::TcpSocket sock) {
               sock.set_on_receive(
                   [delivered](std::uint32_t n) { *delivered += n; });
             });
         f.stream = std::move(d);
       } else {
         auto d = std::make_shared<RrFlow>();
-        if (fp.mode == FlowMode::kBrFusionRr) {
-          d->cli_stack = &f.cli_bed->machine().stack();
-          d->cli_app = &f.cli_bed->machine().make_app_core(fname + "-cli");
-          d->cli_ip = f.cli_bed->machine().bridge_ip();
-          d->srv_service_ip = f.srv_frag->stack->iface_ip(
-              f.srv_frag->stack->ifindex_of("eth0"));
-          d->srv_local_ip = d->srv_service_ip;
-        } else if (fp.mode == FlowMode::kOverlayRr) {
-          d->cli_stack = f.cli_frag->stack.get();
-          d->cli_app = f.cli_container->app_core();
-          d->cli_ip = f.cli_frag->stack->iface_ip(
-              f.cli_frag->stack->ifindex_of("ov0"));
-          d->srv_service_ip = f.srv_frag->stack->iface_ip(
-              f.srv_frag->stack->ifindex_of("ov0"));
-          d->srv_local_ip = d->srv_service_ip;
-        } else {
-          d->cli_stack = f.cli_frag->stack.get();
-          d->cli_app = f.cli_container->app_core();
-          d->cli_ip = f.hostlo_eps[0].ip;
-          d->srv_service_ip = f.hostlo_eps[1].ip;
-          d->srv_local_ip = f.hostlo_eps[1].ip;
-        }
-        d->srv_stack = f.srv_frag->stack.get();
-        d->srv_app = f.srv_container->app_core();
+        d->cli = client;
+        d->srv = server;
         d->cli_engine = &f.cli_bed->engine();
         d->cli_port = fp.cli_port;
         d->srv_port = fp.srv_port;
@@ -479,7 +359,7 @@ WorldResult run_world(const FuzzPlan& plan, const RunShape& shape,
               rule.comment = "fuzz-ovdrop-" + std::to_string(act.flow);
               for (LiveFlow& f : flows) {
                 if (f.index != act.flow) continue;
-                f.srv_vm->stack().netfilter().add_filter_rule(
+                f.pod->srv_vm->stack().netfilter().add_filter_rule(
                     net::Hook::kInput, rule);
               }
               break;
@@ -531,7 +411,7 @@ WorldResult run_world(const FuzzPlan& plan, const RunShape& shape,
           case ActionKind::kNicUnplug: {
             for (LiveFlow& f : flows) {
               if (f.index != act.flow) continue;
-              net::StackBackend& ps = *f.srv_frag->stack;
+              net::StackBackend& ps = *f.pod->srv_frag->stack;
               ps.detach_interface(ps.ifindex_of("eth0"));
             }
             break;
@@ -581,10 +461,10 @@ WorldResult run_world(const FuzzPlan& plan, const RunShape& shape,
       if (f.rr != nullptr) {
         out.strict.add(p + "latency_ns", f.rr->latency_ns_sum);
       }
-      if (f.overlay != nullptr) {
+      if (f.pod->overlay != nullptr) {
         // Oncache evidence: hit/invalidation totals pin the fast path's
         // behaviour in the strict digest (0 on every cache-off shape).
-        const auto t = f.overlay->oncache_totals();
+        const auto t = f.pod->overlay->oncache_totals();
         out.strict.add(p + "oncache_eg_hits", t.egress_hits);
         out.strict.add(p + "oncache_in_hits", t.ingress_hits);
         out.strict.add(p + "oncache_inval", t.invalidations);

@@ -1,51 +1,8 @@
 #include "scenario/cross_vm.hpp"
 
-#include <cassert>
+#include "scenario/deploy.hpp"
 
 namespace nestv::scenario {
-namespace {
-
-/// Boots one container in `fragment` and waits for it to run.
-container::Container& boot_container(Testbed& bed,
-                                     container::Pod::Fragment& fragment,
-                                     const std::string& name,
-                                     container::Runtime::AttachFn attach) {
-  container::Container* out = nullptr;
-  bed.runtime_for(*fragment.vm)
-      .create_container(fragment, container::Image{name + "-image"}, name,
-                        std::move(attach),
-                        [&out](container::Container& c, sim::Duration) {
-                          out = &c;
-                        });
-  bed.run_until_ready([&out] { return out != nullptr; });
-  assert(out->state() == container::ContainerState::kRunning);
-  return *out;
-}
-
-container::Runtime::AttachFn immediate_attach() {
-  return [](container::Pod::Fragment&,
-            std::function<void(container::Runtime::AttachOutcome)> done) {
-    done(container::Runtime::AttachOutcome{true, -1, net::Ipv4Address{}});
-  };
-}
-
-Endpoint endpoint_of(container::Pod::Fragment& fragment,
-                     container::Container& c, net::Ipv4Address service_ip,
-                     net::Ipv4Address local_ip) {
-  Endpoint e;
-  e.stack = fragment.stack.get();
-  e.service_ip = service_ip;
-  e.local_ip = local_ip;
-  e.app = c.app_core();
-  e.vm = fragment.vm;
-  vmm::Vm* vm = fragment.vm;
-  e.make_core = [vm](const std::string& name) -> sim::SerialResource& {
-    return vm->make_app_core(name);
-  };
-  return e;
-}
-
-}  // namespace
 
 const char* to_string(CrossVmMode m) {
   switch (m) {
@@ -62,113 +19,41 @@ CrossVm make_cross_vm(CrossVmMode mode, std::uint16_t service_port,
                       OverlayNetwork::OncacheMode oncache_mode) {
   CrossVm s;
   s.bed = std::make_unique<Testbed>(config);
-  Testbed& bed = *s.bed;
-  const auto lo = net::Ipv4Address(127, 0, 0, 1);
-
+  PodSpec spec;
+  spec.port = service_port;
+  spec.cli = "client";
+  spec.srv = "server";
+  spec.oncache = oncache_mode;
   switch (mode) {
-    case CrossVmMode::kSameNode: {
-      // One pod, one VM; containers share the pod namespace, traffic goes
-      // over the pod's localhost interface.
-      vmm::Vm& vm = bed.create_vm_with_uplink("vm1");
-      container::Pod& pod = bed.create_pod("pod1");
-      s.pod = &pod;
-      auto& frag = pod.add_fragment(vm);
-      auto& client_c = boot_container(bed, frag, "client",
-                                      bed.nat_cni().attach_fn({}));
-      auto& server_c = boot_container(bed, frag, "server",
-                                      immediate_attach());
-      s.client = endpoint_of(frag, client_c, lo, lo);
-      s.server = endpoint_of(frag, server_c, lo, lo);
-      (void)service_port;
+    case CrossVmMode::kSameNode:
+      // One pod in one VM: the server joins the client's namespace and
+      // the two talk over the pod's localhost.
+      spec.srv_vm = "vm1";
+      spec.srv_pod = "pod1";
       break;
-    }
-
-    case CrossVmMode::kHostlo: {
-      vmm::Vm& vm1 = bed.create_vm_with_uplink("vm1");
-      vmm::Vm& vm2 = bed.create_vm_with_uplink("vm2");
-      container::Pod& pod = bed.create_pod("pod1");
-      s.pod = &pod;
-      auto& frag_a = pod.add_fragment(vm1);
-      auto& frag_b = pod.add_fragment(vm2);
-
-      std::vector<core::HostloCni::EndpointInfo> endpoints;
-      bed.hostlo_cni().attach_pod(
-          pod, [&endpoints](std::vector<core::HostloCni::EndpointInfo> e) {
-            endpoints = std::move(e);
-          });
-      bed.run_until_ready([&endpoints] { return !endpoints.empty(); });
-      assert(endpoints.size() == 2);
-
-      auto& client_c =
-          boot_container(bed, frag_a, "client", immediate_attach());
-      auto& server_c =
-          boot_container(bed, frag_b, "server", immediate_attach());
-      s.client =
-          endpoint_of(frag_a, client_c, endpoints[1].ip, endpoints[0].ip);
-      s.server =
-          endpoint_of(frag_b, server_c, endpoints[1].ip, endpoints[1].ip);
+    case CrossVmMode::kHostlo:
+      // One pod disaggregated over two VMs.
+      spec.mode = PodMode::kHostlo;
+      spec.cli_vm = "vm1";
+      spec.srv_vm = "vm2";
+      spec.srv_pod = "pod1";
       break;
-    }
-
-    case CrossVmMode::kNatCrossVm: {
-      vmm::Vm& vm1 = bed.create_vm_with_uplink("vm1");
-      vmm::Vm& vm2 = bed.create_vm_with_uplink("vm2");
-      container::Pod& pod_a = bed.create_pod("pod-a");
-      container::Pod& pod_b = bed.create_pod("pod-b");
-      auto& frag_a = pod_a.add_fragment(vm1);
-      auto& frag_b = pod_b.add_fragment(vm2);
-
-      auto& client_c =
-          boot_container(bed, frag_a, "client", bed.nat_cni().attach_fn({}));
-      core::Cni::Options publish;
-      publish.publish_ports = {service_port};
-      auto& server_c = boot_container(bed, frag_b, "server",
-                                      bed.nat_cni().attach_fn(publish));
-
-      const auto vm2_ip =
-          vm2.stack().iface_ip(vm2.stack().ifindex_of("eth0"));
-      s.client = endpoint_of(
-          frag_a, client_c, vm2_ip,
-          frag_a.stack->iface_ip(frag_a.stack->ifindex_of("eth0")));
-      s.server = endpoint_of(
-          frag_b, server_c, vm2_ip,
-          frag_b.stack->iface_ip(frag_b.stack->ifindex_of("eth0")));
+    case CrossVmMode::kNatCrossVm:
+    case CrossVmMode::kOverlay:
+      spec.mode = mode == CrossVmMode::kOverlay ? PodMode::kOverlay
+                                                : PodMode::kNat;
+      spec.cli_vm = "vm1";
+      spec.srv_vm = "vm2";
+      spec.cli_pod = "pod-a";
+      spec.srv_pod = "pod-b";
       break;
-    }
-
-    case CrossVmMode::kOverlay: {
-      vmm::Vm& vm1 = bed.create_vm_with_uplink("vm1");
-      vmm::Vm& vm2 = bed.create_vm_with_uplink("vm2");
-      s.overlay = std::make_unique<OverlayNetwork>(
-          bed, net::Ipv4Cidr(net::Ipv4Address(10, 99, 0, 0), 24),
-          oncache_mode);
-      OverlayNetwork& overlay = *s.overlay;
-      container::Pod& pod_a = bed.create_pod("pod-a");
-      container::Pod& pod_b = bed.create_pod("pod-b");
-      auto& frag_a = pod_a.add_fragment(vm1);
-      auto& frag_b = pod_b.add_fragment(vm2);
-
-      auto overlay_attach = [&overlay](
-                                container::Pod::Fragment& fragment,
-                                std::function<void(
-                                    container::Runtime::AttachOutcome)>
-                                    done) {
-        const auto a = overlay.attach(fragment);
-        done(container::Runtime::AttachOutcome{true, a.ifindex, a.ip});
-      };
-      auto& client_c = boot_container(bed, frag_a, "client", overlay_attach);
-      auto& server_c = boot_container(bed, frag_b, "server", overlay_attach);
-      overlay.finalize();
-
-      const auto a_ip =
-          frag_a.stack->iface_ip(frag_a.stack->ifindex_of("ov0"));
-      const auto b_ip =
-          frag_b.stack->iface_ip(frag_b.stack->ifindex_of("ov0"));
-      s.client = endpoint_of(frag_a, client_c, b_ip, a_ip);
-      s.server = endpoint_of(frag_b, server_c, b_ip, b_ip);
-      break;
-    }
   }
+  const bool one_pod = spec.cli_pod.empty();
+  const auto pod = deploy_pod(*s.bed, std::move(spec), wait_on(*s.bed));
+  s.client = pod->client();
+  s.server = pod->server();
+  s.overlay = std::move(pod->overlay);
+  if (one_pod) s.pod = pod->srv_frag->pod;
   return s;
 }
 

@@ -9,7 +9,7 @@
 #include <utility>
 
 #include "orch/scheduler.hpp"
-#include "scenario/overlay.hpp"
+#include "scenario/deploy.hpp"
 #include "trace/google_trace.hpp"
 #include "vmm/fabric.hpp"
 
@@ -19,7 +19,6 @@ namespace {
 /// Sub-stream ids for Rng::of_stream / Rng::mix seed derivation.
 constexpr std::uint64_t kTraceStream = 0x6d736361ULL;     // "msca"
 constexpr std::uint64_t kFlowStreamBase = 0x10000ULL;     // + flow ordinal
-constexpr std::uint64_t kMachineStreamBase = 0x2000ULL;   // + machine ordinal
 constexpr std::uint64_t kStreamStreamBase = 0x3000ULL;    // + stream ordinal
 
 /// Ephemeral client-port pool per machine: reuse distance (50k flows per
@@ -145,73 +144,16 @@ void start_stream(const std::shared_ptr<StreamDriver>& d,
   });
 }
 
-/// A long-lived server pod (NAT published-port or BrFusion).
-struct ServerPod {
-  Testbed* bed = nullptr;
+/// A long-lived pod of the run (a NAT or BrFusion server pod, a Hostlo
+/// pair or an overlay pair) and the machine hosting it.
+struct HostedPod {
   int machine = 0;
-  bool nat = false;
-  std::uint16_t port = 0;
-  vmm::Vm* vm = nullptr;
-  container::Pod::Fragment* frag = nullptr;
-  container::Container* ctr = nullptr;
-  net::Ipv4Address service_ip;  ///< what clients dial (filled when ready)
-  net::Ipv4Address local_ip;    ///< the pod's own address (reply source)
-  /// TCP stream byte sink (one per pod; streams targeting this pod share
-  /// it, counted on the pod's own engine).
-  std::shared_ptr<std::uint64_t> stream_delivered =
-      std::make_shared<std::uint64_t>(0);
-  bool listening = false;
+  std::unique_ptr<PodDeployment> pod;
+  Endpoint server, client;  ///< filled once deployed (client: pairs only)
+  /// TCP stream byte sink, made when the first stream targets the pod;
+  /// the streams targeting it share it, counted on the pod's own engine.
+  std::shared_ptr<std::uint64_t> stream_delivered;
 };
-
-/// A cross-VM Hostlo pod (client and server fragments on one machine).
-struct HostloPair {
-  Testbed* bed = nullptr;
-  std::uint16_t port = 0;
-  container::Pod::Fragment* cli_frag = nullptr;
-  container::Pod::Fragment* srv_frag = nullptr;
-  container::Container* cli_ctr = nullptr;
-  container::Container* srv_ctr = nullptr;
-  std::vector<core::HostloCni::EndpointInfo> eps;
-
-  [[nodiscard]] bool ready() const {
-    return cli_ctr != nullptr && srv_ctr != nullptr && eps.size() == 2;
-  }
-};
-
-/// A cross-VM overlay pod pair: two VMs on one machine joined by a
-/// private VXLAN overlay (the Docker-overlay deployment mode), inner
-/// frames tunneling VM-to-VM through the host bridge underlay.
-struct OverlayPair {
-  Testbed* bed = nullptr;
-  std::uint16_t port = 0;
-  vmm::Vm* vm_a = nullptr;
-  vmm::Vm* vm_b = nullptr;
-  container::Pod::Fragment* cli_frag = nullptr;
-  container::Pod::Fragment* srv_frag = nullptr;
-  container::Container* cli_ctr = nullptr;
-  container::Container* srv_ctr = nullptr;
-  std::unique_ptr<OverlayNetwork> overlay;
-  net::Ipv4Address cli_ip, srv_ip;  // overlay addresses (post-deploy)
-
-  [[nodiscard]] bool ready() const {
-    return cli_ctr != nullptr && srv_ctr != nullptr;
-  }
-};
-
-container::Runtime::AttachFn immediate_attach() {
-  return [](container::Pod::Fragment&,
-            std::function<void(container::Runtime::AttachOutcome)> done) {
-    done(container::Runtime::AttachOutcome{true, -1, net::Ipv4Address{}});
-  };
-}
-
-void boot(Testbed& bed, container::Pod::Fragment& frag,
-          const std::string& name, container::Runtime::AttachFn attach,
-          container::Container** out) {
-  bed.runtime_for(*frag.vm).create_container(
-      frag, container::Image{name + "-image"}, name, std::move(attach),
-      [out](container::Container& c, sim::Duration) { *out = &c; });
-}
 
 }  // namespace
 
@@ -240,23 +182,15 @@ MacroScaleResult run_macro_scale(const MacroScaleConfig& config) {
 
   // ---- machines, pinned to shards; two-tier fabric over them ----------
   const int m_count = config.machines;
-  std::vector<std::unique_ptr<Testbed>> beds;
-  beds.reserve(std::size_t(m_count));
-  for (int i = 0; i < m_count; ++i) {
-    TestbedConfig tc;
-    tc.seed = sim::Rng::mix(config.seed,
-                            kMachineStreamBase + std::uint64_t(i));
-    tc.costs = config.costs;
-    tc.engine = &conductor.shard(i * config.shards / m_count);
-    tc.machine.name = "host" + std::to_string(i);
-    // 10.200.x.y/24 VM subnets: distinct per machine, scaling past the
-    // 150-odd machines a single /16 third octet window allows.
-    tc.machine.bridge_subnet = net::Ipv4Cidr(
-        net::Ipv4Address(10, std::uint8_t(200 - i / 250),
-                         std::uint8_t(i % 250), 0),
-        24);
-    beds.push_back(std::make_unique<Testbed>(tc));
-  }
+  const auto machines = static_cast<std::size_t>(m_count);
+  // 10.200.x.y/24 VM subnets: distinct per machine, scaling past the
+  // 150-odd machines a single /16 third octet window allows.
+  const auto beds = make_machines(
+      conductor, m_count, config.seed, config.costs, [](int i) {
+        return net::Ipv4Cidr(net::Ipv4Address(10, std::uint8_t(200 - i / 250),
+                                              std::uint8_t(i % 250), 0),
+                             24);
+      });
   vmm::FabricConfig fc;
   fc.machines_per_rack = config.machines_per_rack;
   fc.spines = config.spines;
@@ -282,235 +216,123 @@ MacroScaleResult run_macro_scale(const MacroScaleConfig& config) {
     }
   }
 
-  // ---- long-lived server pods -----------------------------------------
-  std::vector<ServerPod> servers;
-  // Reserved up front: boot() holds &ctr across the async deployment, so
-  // the vector must never reallocate.
-  servers.reserve(std::size_t(m_count) *
-                  std::size_t(config.server_pods_per_machine));
-  std::vector<std::vector<int>> nat_of(static_cast<std::size_t>(m_count));
-  std::vector<std::vector<int>> br_of(static_cast<std::size_t>(m_count));
+  // ---- long-lived pods: server pods (alternating NAT / BrFusion), then
+  // Hostlo pairs, then overlay pairs, each machine-major ----------------
+  using Pods = std::vector<HostedPod>;
+  using PerMachine = std::vector<std::vector<int>>;  // machine -> indices
+  Pods servers, pairs, ovpairs;
+  PerMachine nat_of(machines), br_of(machines), pairs_of(machines),
+      ov_of(machines);
+  auto deploy = [&beds](Pods& pods, PerMachine& of, int i, PodSpec spec) {
+    of[std::size_t(i)].push_back(int(pods.size()));
+    pods.emplace_back().machine = i;
+    pods.back().pod = deploy_pod(*beds[std::size_t(i)], std::move(spec));
+  };
+  auto pair_spec = [](PodMode mode, const std::string& name, std::size_t n,
+                      int port_base) {
+    PodSpec spec;
+    spec.mode = mode;
+    spec.port = std::uint16_t(port_base + int(n));
+    spec.cli_vm = name + "-a";
+    spec.srv_vm = name + "-b";
+    spec.srv_pod = name + "-pod";
+    spec.cli = name + "-cli";
+    spec.srv = name + "-srv";
+    return spec;
+  };
   for (int i = 0; i < m_count; ++i) {
     for (int j = 0; j < config.server_pods_per_machine; ++j) {
-      servers.emplace_back();
-      ServerPod& s = servers.back();
-      s.bed = beds[std::size_t(i)].get();
-      s.machine = i;
-      s.nat = (j % 2 == 0);
-      s.port = std::uint16_t(5000 + servers.size() - 1);
-      const std::string name =
+      const bool nat = j % 2 == 0;
+      PodSpec spec;
+      spec.mode = nat ? PodMode::kNat : PodMode::kBrFusion;
+      spec.port = std::uint16_t(5000 + servers.size());
+      spec.srv_vm = spec.srv =
           "srv" + std::to_string(i) + "-" + std::to_string(j);
-      s.vm = &s.bed->create_vm_with_uplink(name);
-      auto& pod = s.bed->create_pod(name + "-pod");
-      s.frag = &pod.add_fragment(*s.vm);
-      if (s.nat) {
-        core::Cni::Options publish;
-        publish.publish_ports = {s.port};
-        boot(*s.bed, *s.frag, name, s.bed->nat_cni().attach_fn(publish),
-             &s.ctr);
-      } else {
-        boot(*s.bed, *s.frag, name, s.bed->brfusion_cni().attach_fn({}),
-             &s.ctr);
-      }
-      (s.nat ? nat_of : br_of)[std::size_t(i)].push_back(
-          int(servers.size()) - 1);
+      spec.srv_pod = spec.srv + "-pod";
+      deploy(servers, nat ? nat_of : br_of, i, std::move(spec));
     }
   }
-
-  // ---- Hostlo cross-VM pods -------------------------------------------
-  std::vector<std::unique_ptr<HostloPair>> pairs;
-  std::vector<std::vector<int>> pairs_of(static_cast<std::size_t>(m_count));
   for (int i = 0; i < m_count; ++i) {
     for (int h = 0; h < config.hostlo_pairs_per_machine; ++h) {
-      auto hp = std::make_unique<HostloPair>();
-      hp->bed = beds[std::size_t(i)].get();
-      hp->port = std::uint16_t(6000 + pairs.size());
-      const std::string name =
-          "hl" + std::to_string(i) + "-" + std::to_string(h);
-      vmm::Vm& vm_a = hp->bed->create_vm_with_uplink(name + "-a");
-      vmm::Vm& vm_b = hp->bed->create_vm_with_uplink(name + "-b");
-      auto& pod = hp->bed->create_pod(name + "-pod");
-      hp->cli_frag = &pod.add_fragment(vm_a);
-      hp->srv_frag = &pod.add_fragment(vm_b);
-      HostloPair* raw = hp.get();
-      hp->bed->hostlo_cni().attach_pod(
-          pod, [raw](std::vector<core::HostloCni::EndpointInfo> eps) {
-            raw->eps = std::move(eps);
-          });
-      boot(*hp->bed, *hp->cli_frag, name + "-cli", immediate_attach(),
-           &hp->cli_ctr);
-      boot(*hp->bed, *hp->srv_frag, name + "-srv", immediate_attach(),
-           &hp->srv_ctr);
-      pairs_of[std::size_t(i)].push_back(int(pairs.size()));
-      pairs.push_back(std::move(hp));
+      deploy(pairs, pairs_of, i,
+             pair_spec(PodMode::kHostlo,
+                       "hl" + std::to_string(i) + "-" + std::to_string(h),
+                       pairs.size(), 6000));
     }
   }
-
-  // ---- Overlay cross-VM pods ------------------------------------------
-  std::vector<std::unique_ptr<OverlayPair>> ovpairs;
-  std::vector<std::vector<int>> ov_of(static_cast<std::size_t>(m_count));
   for (int i = 0; i < m_count; ++i) {
     for (int v = 0; v < config.overlay_pairs_per_machine; ++v) {
-      auto op = std::make_unique<OverlayPair>();
-      op->bed = beds[std::size_t(i)].get();
-      op->port = std::uint16_t(7000 + ovpairs.size());
-      const std::string name =
-          "ov" + std::to_string(i) + "-" + std::to_string(v);
-      op->vm_a = &op->bed->create_vm_with_uplink(name + "-a");
-      op->vm_b = &op->bed->create_vm_with_uplink(name + "-b");
-      auto& pod = op->bed->create_pod(name + "-pod");
-      op->cli_frag = &pod.add_fragment(*op->vm_a);
-      op->srv_frag = &pod.add_fragment(*op->vm_b);
       // One isolated overlay per pair (distinct VNIs); the shared 10.99/24
       // inner subnet never reaches the underlay, so pairs cannot collide.
-      op->overlay = std::make_unique<OverlayNetwork>(
-          *op->bed, net::Ipv4Cidr(net::Ipv4Address(10, 99, 0, 0), 24),
-          OverlayNetwork::OncacheMode::kAttached,
-          std::uint32_t(100 + ovpairs.size()));
-      OverlayPair* raw = op.get();
-      auto overlay_attach =
-          [raw](container::Pod::Fragment& fragment,
-                std::function<void(container::Runtime::AttachOutcome)>
-                    done) {
-            const auto a = raw->overlay->attach(fragment);
-            done(container::Runtime::AttachOutcome{true, a.ifindex, a.ip});
-          };
-      boot(*op->bed, *op->cli_frag, name + "-cli", overlay_attach,
-           &op->cli_ctr);
-      boot(*op->bed, *op->srv_frag, name + "-srv", overlay_attach,
-           &op->srv_ctr);
-      ov_of[std::size_t(i)].push_back(int(ovpairs.size()));
-      ovpairs.push_back(std::move(op));
+      PodSpec spec = pair_spec(
+          PodMode::kOverlay, "ov" + std::to_string(i) + "-" + std::to_string(v),
+          ovpairs.size(), 7000);
+      spec.vni = std::uint32_t(100 + ovpairs.size());
+      deploy(ovpairs, ov_of, i, std::move(spec));
     }
   }
 
   // ---- deployment: the conductor (and only the conductor) moves time --
-  const sim::Duration step = sim::milliseconds(10);
-  const sim::TimePoint deploy_limit = sim::seconds(120);
-  auto all_ready = [&servers, &pairs, &ovpairs] {
-    for (const ServerPod& s : servers) {
-      if (s.ctr == nullptr) return false;
-    }
-    for (const auto& hp : pairs) {
-      if (!hp->ready()) return false;
-    }
-    for (const auto& op : ovpairs) {
-      if (!op->ready()) return false;
-    }
-    return true;
-  };
-  while (!all_ready()) {
-    if (conductor.now() >= deploy_limit) {
-      throw std::runtime_error("macro scale: deployment timed out");
-    }
-    conductor.run_until(conductor.now() + step);
-  }
+  const bool deployed = run_until_deployed(
+      conductor,
+      [&servers, &pairs, &ovpairs] {
+        for (const Pods* pods : {&servers, &pairs, &ovpairs}) {
+          for (const HostedPod& p : *pods) {
+            if (!p.pod->ready()) return false;
+          }
+        }
+        return true;
+      },
+      sim::seconds(120));
+  if (!deployed) throw std::runtime_error("macro scale: deployment timed out");
 
   // ---- post-deploy wiring ----------------------------------------------
   // The churn path exercises the flowcache everywhere: host forwarding
-  // stacks, the NAT guests doing DNAT, and the pod stacks.
-  for (auto& bed : beds) bed->machine().stack().set_flowcache(true);
-  for (ServerPod& s : servers) {
-    s.vm->stack().set_flowcache(true);
-    s.frag->stack->set_flowcache(true);
-    s.local_ip = s.frag->stack->iface_ip(s.frag->stack->ifindex_of("eth0"));
-    // NAT: clients dial the VM's published (DNAT'd) address; BrFusion: the
-    // pod NIC's bridge-subnet address is routable fabric-wide.
-    s.service_ip = s.nat ? s.vm->stack().iface_ip(
-                               s.vm->stack().ifindex_of("eth0"))
-                         : s.local_ip;
-    // Persistent UDP echo server: one binding for the whole run; churn
-    // clients come and go against it.
-    net::StackBackend* stack = s.frag->stack.get();
-    sim::SerialResource* app = s.ctr->app_core();
-    const net::Ipv4Address local = s.local_ip;
-    const std::uint16_t port = s.port;
-    stack->udp_bind(port, app,
-                    [stack, app, local, port](
-                        net::StackBackend::UdpDelivery& del) {
-                      stack->udp_send(local, port, del.src_ip, del.src_port,
-                                      del.bytes, app);
-                    });
+  // stacks, the NAT guests doing DNAT, the overlay VMs and the pod stacks.
+  // Every pod serves a persistent UDP echo (one binding for the whole run;
+  // churn clients come and go against it), and the per-machine GC and
+  // occupancy sampling track the same stacks.
+  std::vector<std::vector<net::StackBackend*>> tracked(machines);
+  for (int i = 0; i < m_count; ++i) {
+    net::StackBackend& host = beds[std::size_t(i)]->machine().stack();
+    host.set_flowcache(true);
+    tracked[std::size_t(i)].push_back(&host);
   }
-  for (auto& hp : pairs) {
-    hp->cli_frag->stack->set_flowcache(true);
-    hp->srv_frag->stack->set_flowcache(true);
-    net::StackBackend* stack = hp->srv_frag->stack.get();
-    sim::SerialResource* app = hp->srv_ctr->app_core();
-    const net::Ipv4Address local = hp->eps[1].ip;
-    const std::uint16_t port = hp->port;
-    stack->udp_bind(port, app,
-                    [stack, app, local, port](
-                        net::StackBackend::UdpDelivery& del) {
-                      stack->udp_send(local, port, del.src_ip, del.src_port,
-                                      del.bytes, app);
-                    });
-  }
-  for (auto& op : ovpairs) {
-    // Gossip tables first, then the fast path; churn clients dial the
-    // server fragment's overlay address through the VXLAN tunnel.
-    op->overlay->finalize();
-    op->overlay->set_oncache_enabled(config.oncache_enabled);
-    op->vm_a->stack().set_flowcache(true);
-    op->vm_b->stack().set_flowcache(true);
-    op->cli_frag->stack->set_flowcache(true);
-    op->srv_frag->stack->set_flowcache(true);
-    op->cli_ip = op->cli_frag->stack->iface_ip(
-        op->cli_frag->stack->ifindex_of("ov0"));
-    op->srv_ip = op->srv_frag->stack->iface_ip(
-        op->srv_frag->stack->ifindex_of("ov0"));
-    net::StackBackend* stack = op->srv_frag->stack.get();
-    sim::SerialResource* app = op->srv_ctr->app_core();
-    const net::Ipv4Address local = op->srv_ip;
-    const std::uint16_t port = op->port;
-    stack->udp_bind(port, app,
-                    [stack, app, local, port](
-                        net::StackBackend::UdpDelivery& del) {
-                      stack->udp_send(local, port, del.src_ip, del.src_port,
-                                      del.bytes, app);
-                    });
+  std::vector<std::vector<const OverlayNetwork*>> overlays(machines);
+  for (Pods* pods : {&servers, &pairs, &ovpairs}) {
+    for (HostedPod& p : *pods) {
+      PodDeployment& d = *p.pod;
+      std::vector<net::StackBackend*> stacks;
+      if (d.spec.mode != PodMode::kHostlo) {
+        if (d.is_pair()) stacks.push_back(&d.cli_vm->stack());
+        stacks.push_back(&d.srv_vm->stack());
+      }
+      if (d.is_pair()) stacks.push_back(d.cli_frag->stack.get());
+      stacks.push_back(d.srv_frag->stack.get());
+      for (net::StackBackend* st : stacks) {
+        st->set_flowcache(true);
+        tracked[std::size_t(p.machine)].push_back(st);
+      }
+      p.server = d.server();
+      if (d.is_pair()) p.client = d.client();
+      bind_udp_echo(p.server, d.spec.port);
+      if (d.overlay != nullptr) {
+        d.overlay->set_oncache_enabled(config.oncache_enabled);
+        overlays[std::size_t(p.machine)].push_back(d.overlay.get());
+      }
+    }
   }
 
   // One shared client app core per machine: ephemeral flows are cheap
   // clients, not one pinned process each (10^6 SerialResources would be
   // absurd); sharing one core serializes them like one busy client box.
-  std::vector<sim::SerialResource*> cli_core(static_cast<std::size_t>(m_count));
+  std::vector<sim::SerialResource*> cli_core(machines);
   for (int i = 0; i < m_count; ++i) {
     cli_core[std::size_t(i)] =
         &beds[std::size_t(i)]->machine().make_app_core("churn-cli");
   }
 
-  // ---- per-machine state tracking (GC + occupancy sampling) ------------
-  std::vector<MachineStats> stats(static_cast<std::size_t>(m_count));
-  std::vector<std::vector<net::StackBackend*>> tracked(static_cast<std::size_t>(m_count));
-  for (int i = 0; i < m_count; ++i) {
-    tracked[std::size_t(i)].push_back(&beds[std::size_t(i)]->machine().stack());
-  }
-  for (ServerPod& s : servers) {
-    tracked[std::size_t(s.machine)].push_back(&s.vm->stack());
-    tracked[std::size_t(s.machine)].push_back(s.frag->stack.get());
-  }
-  for (int m = 0; m < m_count; ++m) {
-    for (const int p : pairs_of[std::size_t(m)]) {
-      tracked[std::size_t(m)].push_back(
-          pairs[std::size_t(p)]->cli_frag->stack.get());
-      tracked[std::size_t(m)].push_back(
-          pairs[std::size_t(p)]->srv_frag->stack.get());
-    }
-  }
-  std::vector<std::vector<const OverlayNetwork*>> overlays(
-      static_cast<std::size_t>(m_count));
-  for (int m = 0; m < m_count; ++m) {
-    for (const int p : ov_of[std::size_t(m)]) {
-      OverlayPair& op = *ovpairs[std::size_t(p)];
-      tracked[std::size_t(m)].push_back(&op.vm_a->stack());
-      tracked[std::size_t(m)].push_back(&op.vm_b->stack());
-      tracked[std::size_t(m)].push_back(op.cli_frag->stack.get());
-      tracked[std::size_t(m)].push_back(op.srv_frag->stack.get());
-      overlays[std::size_t(m)].push_back(op.overlay.get());
-    }
-  }
-
+  std::vector<MachineStats> stats(machines);
   const sim::TimePoint start_base = conductor.now() + sim::milliseconds(1);
   const sim::TimePoint arrivals_end = start_base + config.arrival_window;
   const sim::TimePoint traffic_end = arrivals_end + config.drain;
@@ -598,9 +420,8 @@ MacroScaleResult run_macro_scale(const MacroScaleConfig& config) {
                                        kFlowStreamBase + std::uint64_t(k));
     (void)rng.uniform_int(0, std::max<std::uint64_t>(1, interarrival / 2));
 
-    // The overlay mode joins the rotation only when the knob asks for it,
-    // so the default config's flow schedule (and every simulated output)
-    // is byte-identical to the pre-overlay scenario.
+    // The overlay mode joins the rotation only when the machines host
+    // overlay pairs.
     const bool overlay_on = config.overlay_pairs_per_machine > 0;
     int mode = k % (overlay_on ? 4 : 3);
     if (mode == 2 && pairs_of[std::size_t(cm)].empty()) mode = 1;
@@ -617,24 +438,16 @@ MacroScaleResult run_macro_scale(const MacroScaleConfig& config) {
                  : 0);
     d->rng = rng;
 
-    if (mode == 3) {
-      const auto& olist = ov_of[std::size_t(cm)];
-      const OverlayPair& op =
-          *ovpairs[std::size_t(olist[std::size_t(k / 4) % olist.size()])];
-      d->cli_stack = op.cli_frag->stack.get();
-      d->cli_app = op.cli_ctr->app_core();
-      d->cli_ip = op.cli_ip;
-      d->srv_ip = op.srv_ip;
-      d->srv_port = op.port;
-    } else if (mode == 2) {
-      const auto& plist = pairs_of[std::size_t(cm)];
-      const HostloPair& hp =
-          *pairs[std::size_t(plist[std::size_t(k / 3) % plist.size()])];
-      d->cli_stack = hp.cli_frag->stack.get();
-      d->cli_app = hp.cli_ctr->app_core();
-      d->cli_ip = hp.eps[0].ip;
-      d->srv_ip = hp.eps[1].ip;
-      d->srv_port = hp.port;
+    const HostedPod* p = nullptr;
+    if (mode >= 2) {
+      // A pair on the client machine: its client container dials.
+      const auto& list = (mode == 3 ? ov_of : pairs_of)[std::size_t(cm)];
+      const std::size_t pick = std::size_t(mode == 3 ? k / 4 : k / 3);
+      p = &(mode == 3 ? ovpairs : pairs)[std::size_t(
+          list[pick % list.size()])];
+      d->cli_stack = p->client.stack;
+      d->cli_app = p->client.app;
+      d->cli_ip = p->client.local_ip;
     } else {
       int sm = vm_machine.empty()
                    ? (cm + 1 + k % (m_count - 1)) % m_count
@@ -642,14 +455,13 @@ MacroScaleResult run_macro_scale(const MacroScaleConfig& config) {
       if (sm == cm) sm = (sm + 1) % m_count;
       const auto& slist =
           (mode == 0 ? nat_of : br_of)[std::size_t(sm)];
-      const ServerPod& s =
-          servers[std::size_t(slist[std::size_t(k / 3) % slist.size()])];
+      p = &servers[std::size_t(slist[std::size_t(k / 3) % slist.size()])];
       d->cli_stack = &beds[std::size_t(cm)]->machine().stack();
       d->cli_app = cli_core[std::size_t(cm)];
       d->cli_ip = beds[std::size_t(cm)]->machine().bridge_ip();
-      d->srv_ip = s.service_ip;
-      d->srv_port = s.port;
     }
+    d->srv_ip = p->server.service_ip;
+    d->srv_port = p->pod->spec.port;
     d->engine = &beds[std::size_t(cm)]->engine();
     d->cli_port = std::uint16_t(
         kClientPortBase + std::uint32_t(k / m_count) % kClientPortSpan);
@@ -684,17 +496,17 @@ MacroScaleResult run_macro_scale(const MacroScaleConfig& config) {
     if (sm == cm) sm = (sm + 1) % m_count;
     const auto& slist = nat_of[std::size_t(sm)];
     const int target = slist[std::size_t(k) % slist.size()];
-    ServerPod& s = servers[std::size_t(target)];
-    if (!s.listening) {
-      s.listening = true;
-      auto delivered = s.stream_delivered;
-      s.frag->stack->tcp_listen(s.port, s.ctr->app_core(),
-                                [delivered](net::TcpSocket sock) {
-                                  sock.set_on_receive(
-                                      [delivered](std::uint32_t n) {
-                                        *delivered += n;
-                                      });
-                                });
+    HostedPod& s = servers[std::size_t(target)];
+    if (s.stream_delivered == nullptr) {
+      auto delivered = std::make_shared<std::uint64_t>(0);
+      s.stream_delivered = delivered;
+      s.server.stack->tcp_listen(s.pod->spec.port, s.server.app,
+                                 [delivered](net::TcpSocket sock) {
+                                   sock.set_on_receive(
+                                       [delivered](std::uint32_t n) {
+                                         *delivered += n;
+                                       });
+                                 });
     }
     sim::Rng srng = sim::Rng::of_stream(config.seed,
                                         kStreamStreamBase + std::uint64_t(k));
@@ -704,8 +516,8 @@ MacroScaleResult run_macro_scale(const MacroScaleConfig& config) {
         "stream" + std::to_string(k) + "-cli");
     d->cli_engine = &beds[std::size_t(cm)]->engine();
     d->cli_ip = beds[std::size_t(cm)]->machine().bridge_ip();
-    d->srv_service_ip = s.service_ip;
-    d->srv_port = s.port;
+    d->srv_service_ip = s.server.service_ip;
+    d->srv_port = s.pod->spec.port;
     d->msg_bytes = config.stream_msg_bytes + 64 * std::uint32_t(k % 5);
     d->stop_at = arrivals_end;
     start_stream(d, start_base + srng.uniform_int(0, 100000));
@@ -763,7 +575,7 @@ MacroScaleResult run_macro_scale(const MacroScaleConfig& config) {
   for (const int target : stream_target) {
     // Per-pod sinks may be shared; count each pod once, weight by the
     // first stream ordinal that claimed it (stable across runs).
-    ServerPod& s = servers[std::size_t(target)];
+    HostedPod& s = servers[std::size_t(target)];
     const double bytes = double(*s.stream_delivered);
     if (bytes > 0) {
       out.stream_bytes_delivered += bytes;
@@ -772,8 +584,8 @@ MacroScaleResult run_macro_scale(const MacroScaleConfig& config) {
     }
     ++k;
   }
-  for (const auto& op : ovpairs) {
-    const auto t = op->overlay->oncache_totals();
+  for (const HostedPod& p : ovpairs) {
+    const auto t = p.pod->overlay->oncache_totals();
     out.oncache_hits += t.egress_hits + t.ingress_hits;
   }
   out.events_total = conductor.total_events();

@@ -24,8 +24,7 @@
 //   * Overlay  — cross-VM pod pair tunneled through a per-pair VXLAN
 //                overlay (UDP RR, VM-to-VM through the host bridge),
 //                riding the ONCache-style encap/decap fast path when
-//                oncache_enabled (off by default: the knob defaults to
-//                zero pairs, leaving the run byte-identical).
+//                oncache_enabled (off by default: zero overlay pairs).
 // Placement follows the Google-like trace (trace::generate_google_like_trace).
 //
 // Determinism: identical simulated outputs at any shards/max_workers
@@ -63,9 +62,8 @@ struct MacroScaleConfig {
   int server_pods_per_machine = 2;
   /// Cross-VM Hostlo pods per machine (0 disables the Hostlo flow mode).
   int hostlo_pairs_per_machine = 1;
-  /// Cross-VM overlay (VXLAN) pod pairs per machine.  0 disables the
-  /// overlay flow mode entirely and keeps the run byte-identical to the
-  /// pre-overlay scenario.
+  /// Cross-VM overlay (VXLAN) pod pairs per machine (0 disables the
+  /// overlay flow mode).
   int overlay_pairs_per_machine = 0;
   /// Drive overlay pairs through the ONCache-style encap/decap fast path
   /// (ignored when overlay_pairs_per_machine == 0).

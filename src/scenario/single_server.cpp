@@ -2,6 +2,8 @@
 
 #include <cassert>
 
+#include "scenario/deploy.hpp"
+
 namespace nestv::scenario {
 
 const char* to_string(ServerMode m) {
@@ -19,67 +21,34 @@ SingleServer make_single_server(ServerMode mode, std::uint16_t service_port,
   SingleServer s;
   s.bed = std::make_unique<Testbed>(config);
   Testbed& bed = *s.bed;
-
-  vmm::Vm& vm = bed.create_vm_with_uplink("vm1");
-  s.vm = &vm;
   s.client = bed.host_client("client");
 
-  vmm::Vm* vm_ptr = &vm;
-  const auto guest_core_factory =
-      [vm_ptr](const std::string& name) -> sim::SerialResource& {
-    return vm_ptr->make_app_core(name);
-  };
-
   if (mode == ServerMode::kNoCont) {
-    s.server.stack = &vm.stack();
-    s.server.local_ip = vm.stack().iface_ip(vm.stack().ifindex_of("eth0"));
-    s.server.service_ip = s.server.local_ip;
-    s.server.app = &vm.make_app_core("server");
-    s.server.vm = &vm;
-    s.server.make_core = guest_core_factory;
+    vmm::Vm& vm = bed.create_vm_with_uplink("vm1");
+    s.vm = &vm;
+    const net::Ipv4Address ip =
+        vm.stack().iface_ip(vm.stack().ifindex_of("eth0"));
+    s.server = guest_endpoint(vm, vm.stack(), &vm.make_app_core("server"),
+                              ip, ip);
     return s;
   }
 
-  container::Pod& pod = bed.create_pod("pod1");
-  s.pod = &pod;
-  auto& fragment = pod.add_fragment(vm);
-
-  const bool nat_like =
-      mode == ServerMode::kNat || mode == ServerMode::kNatFlowCache;
-  core::Cni& cni =
-      mode == ServerMode::kNat
-          ? static_cast<core::Cni&>(bed.nat_cni())
-          : (mode == ServerMode::kNatFlowCache
-                 ? static_cast<core::Cni&>(bed.flowcache_cni())
-                 : static_cast<core::Cni&>(bed.brfusion_cni()));
-  core::Cni::Options options;
-  if (nat_like) options.publish_ports = {service_port};
-
-  bool ready = false;
-  bed.runtime_for(vm).create_container(
-      fragment, container::Image{"server-image"}, "server",
-      cni.attach_fn(options),
-      [&s, &ready](container::Container& c, sim::Duration boot) {
-        s.srv_container = &c;
-        s.boot_duration = boot;
-        ready = true;
-      });
-  bed.run_until_ready([&ready] { return ready; });
-
-  assert(s.srv_container != nullptr &&
-         s.srv_container->state() == container::ContainerState::kRunning);
-
-  s.server.stack = fragment.stack.get();
-  s.server.local_ip =
-      fragment.stack->iface_ip(fragment.stack->ifindex_of("eth0"));
-  s.server.app = s.srv_container->app_core();
-  s.server.vm = &vm;
-  s.server.make_core = guest_core_factory;
-  // The address the client dials: for NAT the published VM address (DNAT
-  // translates to the container); for BrFusion the pod NIC itself.
-  s.server.service_ip =
-      nat_like ? vm.stack().iface_ip(vm.stack().ifindex_of("eth0"))
-               : s.server.local_ip;
+  PodSpec spec;
+  spec.mode = mode == ServerMode::kNat
+                  ? PodMode::kNat
+                  : (mode == ServerMode::kNatFlowCache ? PodMode::kNatFlowCache
+                                                       : PodMode::kBrFusion);
+  spec.port = service_port;
+  spec.srv_vm = "vm1";
+  spec.srv_pod = "pod1";
+  spec.srv = "server";
+  const auto pod = deploy_pod(bed, std::move(spec), wait_on(bed));
+  assert(pod->srv_ctr->state() == container::ContainerState::kRunning);
+  s.vm = pod->srv_vm;
+  s.pod = pod->srv_frag->pod;
+  s.srv_container = pod->srv_ctr;
+  s.boot_duration = pod->srv_boot;
+  s.server = pod->server();
   return s;
 }
 
