@@ -118,7 +118,7 @@ WorldResult run_world(const FuzzPlan& plan, const RunShape& shape,
     sim::CostModel costs = plan.costs;
     costs.batch_size = shape.batch;
     if (shape.napi != 0) costs.napi_budget = shape.napi;
-    if (shape.kick >= 0) costs.virtio_kick = shape.kick;
+    if (shape.kick) costs.virtio_kick = *shape.kick;
 
     const bool two_tier = plan.machines_per_rack > 0;
     const sim::Duration lookahead =

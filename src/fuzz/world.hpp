@@ -24,6 +24,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -48,7 +49,7 @@ struct RunShape {
   bool distribute_spines = true;
   std::uint32_t batch = 1;    ///< CostModel::batch_size
   std::uint32_t napi = 0;     ///< overrides napi_budget when non-zero
-  sim::Duration kick = -1;    ///< overrides virtio_kick when >= 0
+  std::optional<sim::Duration> kick;  ///< overrides virtio_kick when set
   bool flowcache = false;
   /// Pod fragments run net::FastPathStack instead of the full stack.  The
   /// backend oracle compares this shape's *semantic* digest against the

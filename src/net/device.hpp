@@ -115,7 +115,7 @@ class Device {
     /// Burst mode: frames in flight on this link.  All frames transmitted
     /// while a hop event is pending ride that event — the receiver picks
     /// up whatever is in the ring when its poll fires, like a NIC RX ring.
-    sim::BurstQueue<EthernetFrame> pending;
+    sim::BurstQueue<EthernetFrame> pending{};
     bool hop_armed = false;
     /// Fabric wire (connect_wire): fixed latency overriding hop_latency,
     /// exempt from burst coalescing.  0 = ordinary intra-host link.

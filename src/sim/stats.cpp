@@ -1,9 +1,13 @@
 #include "sim/stats.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <cstdio>
+#include <limits>
+#include <numeric>
+#include <stdexcept>
 
 namespace nestv::sim {
 
@@ -53,57 +57,92 @@ double RunningStats::cv() const {
 }
 
 void Samples::add(double x) {
-  xs_.push_back(x);
-  sorted_valid_ = false;
+  ++n_;
+  if (!run_value_.empty() &&
+      std::bit_cast<std::uint64_t>(run_value_.back()) ==
+          std::bit_cast<std::uint64_t>(x) &&
+      run_count_.back() != std::numeric_limits<std::uint32_t>::max()) {
+    ++run_count_.back();
+    return;
+  }
+  // by_value_ indexes runs with 32 bits.
+  if (run_value_.size() == std::numeric_limits<std::uint32_t>::max())
+    throw std::length_error("Samples: more than 2^32-1 runs");
+  run_value_.push_back(x);
+  run_count_.push_back(1);
+  by_value_valid_ = false;
 }
 
-// Rebuilds the sorted view lazily.  xs_ itself is never reordered: sorting
-// it in place (the old implementation) made values() return sorted data
-// after the first percentile query, corrupting insertion-order consumers.
-const std::vector<double>& Samples::sorted() const {
-  if (!sorted_valid_) {
-    sorted_xs_ = xs_;
-    std::sort(sorted_xs_.begin(), sorted_xs_.end());
-    sorted_valid_ = true;
+const std::vector<std::uint32_t>& Samples::by_value() const {
+  if (!by_value_valid_) {
+    by_value_.assign(run_value_.size(), 0);
+    std::iota(by_value_.begin(), by_value_.end(), 0u);
+    std::sort(by_value_.begin(), by_value_.end(),
+              [this](std::uint32_t a, std::uint32_t b) {
+                if (run_value_[a] < run_value_[b]) return true;
+                if (run_value_[b] < run_value_[a]) return false;
+                return a < b;
+              });
+    by_value_valid_ = true;
   }
-  return sorted_xs_;
+  return by_value_;
 }
 
 double Samples::mean() const {
-  if (xs_.empty()) return 0.0;
+  if (n_ == 0) return 0.0;
   double s = 0.0;
-  for (double x : xs_) s += x;
-  return s / static_cast<double>(xs_.size());
+  for (std::size_t r = 0; r < run_value_.size(); ++r) {
+    const double x = run_value_[r];
+    for (std::uint32_t i = 0; i < run_count_[r]; ++i) s += x;
+  }
+  return s / static_cast<double>(n_);
 }
 
 double Samples::stddev() const {
-  if (xs_.size() < 2) return 0.0;
+  if (n_ < 2) return 0.0;
   const double m = mean();
   double s = 0.0;
-  for (double x : xs_) s += (x - m) * (x - m);
-  return std::sqrt(s / static_cast<double>(xs_.size()));
+  for (std::size_t r = 0; r < run_value_.size(); ++r) {
+    const double x = run_value_[r];
+    for (std::uint32_t i = 0; i < run_count_[r]; ++i) s += (x - m) * (x - m);
+  }
+  return std::sqrt(s / static_cast<double>(n_));
 }
 
 double Samples::min() const {
-  if (xs_.empty()) return 0.0;
-  return sorted().front();
+  if (n_ == 0) return 0.0;
+  return run_value_[by_value().front()];
 }
 
 double Samples::max() const {
-  if (xs_.empty()) return 0.0;
-  return sorted().back();
+  if (n_ == 0) return 0.0;
+  return run_value_[by_value().back()];
 }
 
 double Samples::percentile(double p) const {
-  if (xs_.empty()) return 0.0;
-  const std::vector<double>& v = sorted();
-  if (p <= 0.0) return v.front();
-  if (p >= 100.0) return v.back();
-  const double rank = p / 100.0 * static_cast<double>(v.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
+  if (n_ == 0) return 0.0;
+  if (p <= 0.0) return min();
+  if (p >= 100.0) return max();
+  const double rank = p / 100.0 * static_cast<double>(n_ - 1);
+  const auto lo = static_cast<std::uint64_t>(rank);
   const double frac = rank - static_cast<double>(lo);
-  if (lo + 1 >= v.size()) return v.back();
-  return v[lo] * (1.0 - frac) + v[lo + 1] * frac;
+  if (lo + 1 >= n_) return max();
+  // Walk the sorted runs to sample `lo` and its successor `lo + 1`.
+  const std::vector<std::uint32_t>& order = by_value();
+  std::uint64_t end = 0;  // samples in the runs walked so far
+  std::size_t k = 0;
+  while ((end += run_count_[order[k]]) <= lo) ++k;
+  const double v_lo = run_value_[order[k]];
+  const double v_hi = lo + 1 < end ? v_lo : run_value_[order[k + 1]];
+  return v_lo * (1.0 - frac) + v_hi * frac;
+}
+
+std::vector<double> Samples::values() const {
+  std::vector<double> out;
+  out.reserve(n_);
+  for (std::size_t r = 0; r < run_value_.size(); ++r)
+    out.insert(out.end(), run_count_[r], run_value_[r]);
+  return out;
 }
 
 BoxStats box_stats(const Samples& s) {

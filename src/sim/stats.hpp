@@ -36,14 +36,28 @@ class RunningStats {
   double sum_ = 0.0;
 };
 
-/// Retains every sample; supports exact percentiles.  Used for latency
-/// distributions (fig 8 boot-time boxplots, wrk2-style latency reports).
+/// Exact latency distribution stored as runs of equal values.  Used for
+/// per-transaction latencies (netperf RR, wrk2-style RPC reports) and the
+/// fig 8 boot-time boxplots.
+///
+/// Samples are kept in insertion order as runs of bit-identical values
+/// (compared by bit pattern, so -0.0 and +0.0 never merge): a simulated RR
+/// path whose every transaction takes the same time is one run, however
+/// long it ran.  mean() and stddev() replay the runs in insertion order,
+/// so they perform the same additions in the same order as a loop over
+/// every sample and return bit-identical doubles.  min(), max() and
+/// percentile() select from a value-sorted view of the runs; values that
+/// compare equal (only -0.0 and +0.0) keep their insertion order there.
+///
+/// Memory is O(runs): 8 B value + 4 B count per run, plus a 4 B index per
+/// run for the sorted view once a quantile is asked for.  The worst case,
+/// no two neighbours equal, is 16 B per sample: the cost of keeping one
+/// double per sample plus a sorted copy, and the ceiling.
 class Samples {
  public:
   void add(double x);
-  void reserve(std::size_t n) { xs_.reserve(n); }
 
-  [[nodiscard]] std::uint64_t count() const { return xs_.size(); }
+  [[nodiscard]] std::uint64_t count() const { return n_; }
   [[nodiscard]] double mean() const;
   [[nodiscard]] double stddev() const;
   [[nodiscard]] double min() const;
@@ -53,17 +67,23 @@ class Samples {
   [[nodiscard]] double percentile(double p) const;
   [[nodiscard]] double median() const { return percentile(50.0); }
 
-  /// Samples in insertion order — always.  Percentile queries sort a
-  /// separate view, so interleaving add()/percentile()/values() never
-  /// reorders what callers iterate (time-series consumers rely on it).
-  [[nodiscard]] const std::vector<double>& values() const { return xs_; }
+  /// Every sample in insertion order, expanded from the runs on demand.
+  /// Quantile queries never reorder it.
+  [[nodiscard]] std::vector<double> values() const;
+
+  /// Number of runs of equal values held (what the memory scales with).
+  [[nodiscard]] std::size_t runs() const { return run_value_.size(); }
 
  private:
-  const std::vector<double>& sorted() const;
+  const std::vector<std::uint32_t>& by_value() const;
 
-  std::vector<double> xs_;               ///< insertion order, never sorted
-  mutable std::vector<double> sorted_xs_;  ///< lazy sorted copy for quantiles
-  mutable bool sorted_valid_ = true;
+  std::vector<double> run_value_;        ///< insertion order
+  std::vector<std::uint32_t> run_count_;  ///< samples in each run, >= 1
+  std::uint64_t n_ = 0;
+  /// Lazy run indices sorted by (value, insertion order).  Extending the
+  /// last run leaves it valid; opening a run does not.
+  mutable std::vector<std::uint32_t> by_value_;
+  mutable bool by_value_valid_ = true;
 };
 
 /// Five-number summary + mean, as the paper's fig 8b table reports.

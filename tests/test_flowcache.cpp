@@ -188,7 +188,8 @@ TEST_F(CachedRouter, EstablishedFlowHitsCache) {
   EXPECT_EQ(cache.size(), 1u);
   // Packet 1 parks on ARP (not recorded), packet 2 records; the rest hit.
   EXPECT_GE(cache.hits(), 3u);
-  const FlowKey k{ip_a, ip_b, 1000, 7, L4Proto::kUdp, r_if1};
+  const FlowKey k{ip_a, ip_b, 1000, 7, L4Proto::kUdp,
+                  static_cast<std::int16_t>(r_if1)};
   ASSERT_TRUE(cache.contains(k));
   EXPECT_EQ(cache.peek(k)->action, CachedPath::Action::kForward);
   EXPECT_EQ(cache.peek(k)->out_ifindex, r_if2);
@@ -204,7 +205,8 @@ TEST_F(CachedRouter, CachedPathStillDecrementsTtlCorrectly) {
 
 TEST_F(CachedRouter, RouteEditLazilyInvalidatesViaGenerationStamp) {
   EXPECT_EQ(deliver_burst(3), 3);
-  const FlowKey k{ip_a, ip_b, 1000, 7, L4Proto::kUdp, r_if1};
+  const FlowKey k{ip_a, ip_b, 1000, 7, L4Proto::kUdp,
+                  static_cast<std::int16_t>(r_if1)};
   const auto stamped = router.flow_cache().peek(k)->routes_gen;
 
   // Any table edit bumps the generation; the entry is stale but present.
@@ -234,7 +236,8 @@ TEST_F(CachedRouter, DetachInterfaceFlushesOnlyItsFlows) {
   router.detach_interface(r_if2);
   // Only the flow leaving via eth1 is flushed; the local one survives.
   EXPECT_EQ(router.flow_cache().size(), 1u);
-  const FlowKey local_key{ip_a, ip_r1, 2000, 9, L4Proto::kUdp, r_if1};
+  const FlowKey local_key{ip_a, ip_r1, 2000, 9, L4Proto::kUdp,
+                          static_cast<std::int16_t>(r_if1)};
   EXPECT_TRUE(router.flow_cache().contains(local_key));
 
   // Traffic towards the dead interface is dropped, not crashed on.
@@ -248,7 +251,8 @@ TEST_F(CachedRouter, DisablingTheCacheFlushesIt) {
   EXPECT_EQ(deliver_burst(3), 3);
   EXPECT_GE(router.flow_cache().hits(), 1u);
   router.set_flowcache(false);
-  const FlowKey k{ip_a, ip_b, 1000, 7, L4Proto::kUdp, r_if1};
+  const FlowKey k{ip_a, ip_b, 1000, 7, L4Proto::kUdp,
+                  static_cast<std::int16_t>(r_if1)};
   EXPECT_FALSE(router.flow_cache().contains(k));
   // Traffic still flows on the slow path.
   EXPECT_EQ(deliver_burst(2), 2);

@@ -1,7 +1,11 @@
 // Unit tests for the discrete-event simulation core (src/sim).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "sim/cost_model.hpp"
@@ -358,6 +362,152 @@ TEST(Samples, BoxStatsOrdering) {
   EXPECT_LE(b.q1, b.median);
   EXPECT_LE(b.median, b.q3);
   EXPECT_LE(b.q3, b.max);
+}
+
+// The per-sample store Samples replaced: one double per sample and a
+// sorted copy for order statistics.  The run-length store must match it
+// bit for bit.
+class ReferenceSamples {
+ public:
+  void add(double x) { xs_.push_back(x); }
+  [[nodiscard]] std::uint64_t count() const { return xs_.size(); }
+  [[nodiscard]] double mean() const {
+    if (xs_.empty()) return 0.0;
+    double s = 0.0;
+    for (double x : xs_) s += x;
+    return s / static_cast<double>(xs_.size());
+  }
+  [[nodiscard]] double stddev() const {
+    if (xs_.size() < 2) return 0.0;
+    const double m = mean();
+    double s = 0.0;
+    for (double x : xs_) s += (x - m) * (x - m);
+    return std::sqrt(s / static_cast<double>(xs_.size()));
+  }
+  [[nodiscard]] double min() const {
+    return xs_.empty() ? 0.0 : sorted().front();
+  }
+  [[nodiscard]] double max() const {
+    return xs_.empty() ? 0.0 : sorted().back();
+  }
+  [[nodiscard]] double percentile(double p) const {
+    if (xs_.empty()) return 0.0;
+    const std::vector<double> v = sorted();
+    if (p <= 0.0) return v.front();
+    if (p >= 100.0) return v.back();
+    const double rank = p / 100.0 * static_cast<double>(v.size() - 1);
+    const auto lo = static_cast<std::size_t>(rank);
+    const double frac = rank - static_cast<double>(lo);
+    if (lo + 1 >= v.size()) return v.back();
+    return v[lo] * (1.0 - frac) + v[lo + 1] * frac;
+  }
+  [[nodiscard]] const std::vector<double>& values() const { return xs_; }
+
+ private:
+  [[nodiscard]] std::vector<double> sorted() const {
+    std::vector<double> v = xs_;
+    std::sort(v.begin(), v.end());
+    return v;
+  }
+  std::vector<double> xs_;
+};
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+std::vector<std::uint64_t> bits(const std::vector<double>& xs) {
+  std::vector<std::uint64_t> out;
+  for (double x : xs) out.push_back(bits(x));
+  return out;
+}
+
+// Feeds `xs` to both stores and compares every statistic by bit pattern,
+// also after each `query_every` adds (order statistics mid-stream).
+void expect_matches_reference(const std::vector<double>& xs,
+                              const std::string& what,
+                              std::size_t query_every = 0) {
+  Samples s;
+  ReferenceSamples ref;
+  auto compare = [&](std::size_t added) {
+    SCOPED_TRACE(what + " after " + std::to_string(added) + " adds");
+    EXPECT_EQ(s.count(), ref.count());
+    EXPECT_EQ(bits(s.mean()), bits(ref.mean()));
+    EXPECT_EQ(bits(s.stddev()), bits(ref.stddev()));
+    EXPECT_EQ(bits(s.min()), bits(ref.min()));
+    EXPECT_EQ(bits(s.max()), bits(ref.max()));
+    EXPECT_EQ(bits(s.values()), bits(ref.values()));
+    for (double p : {0.0, 1.0, 25.0, 50.0, 75.0, 99.0, 99.9, 100.0}) {
+      EXPECT_EQ(bits(s.percentile(p)), bits(ref.percentile(p))) << "p" << p;
+    }
+  };
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    s.add(xs[i]);
+    ref.add(xs[i]);
+    if (query_every != 0 && (i + 1) % query_every == 0) compare(i + 1);
+  }
+  compare(xs.size());
+}
+
+TEST(Samples, MatchesPerSampleReferenceOnSmallValueSets) {
+  // Few distinct values, sticky draws: many runs, long and short.
+  Rng r(21);
+  const double set[] = {20.748, 19.5, std::nextafter(20.748, 21.0), 31.25,
+                        0.125};
+  for (int trial = 0; trial < 40; ++trial) {
+    std::vector<double> xs;
+    const auto n = r.uniform_int(1, 3000);
+    double last = set[0];
+    for (std::uint64_t i = 0; i < n; ++i) {
+      if (r.uniform_int(0, 9) < 3) last = set[r.uniform_int(0, 4)];
+      xs.push_back(last);
+    }
+    expect_matches_reference(xs, "trial " + std::to_string(trial), 257);
+  }
+}
+
+TEST(Samples, MatchesPerSampleReferenceOnDistinctValues) {
+  Rng r(22);
+  std::vector<double> xs;
+  for (int i = 0; i < 5000; ++i) xs.push_back(r.lognormal(3.0, 0.5));
+  expect_matches_reference(xs, "distinct", 499);
+  std::vector<double> negatives;
+  for (int i = 0; i < 3000; ++i) negatives.push_back(r.normal(0.0, 10.0));
+  expect_matches_reference(negatives, "normal");
+}
+
+TEST(Samples, MatchesPerSampleReferenceOnSignedZeros) {
+  // -0.0 == +0.0, and std::sort leaves equal keys in unspecified order;
+  // Samples orders them by insertion.  The two agree where std::sort is an
+  // insertion sort (libstdc++: ranges of up to 16), so these stay short.
+  Rng r(23);
+  const double set[] = {-0.0, 0.0, -1.5, 2.0};
+  for (int trial = 0; trial < 300; ++trial) {
+    std::vector<double> xs;
+    const auto n = r.uniform_int(1, 16);
+    for (std::uint64_t i = 0; i < n; ++i) {
+      xs.push_back(set[r.uniform_int(0, 3)]);
+    }
+    expect_matches_reference(xs, "signed zeros " + std::to_string(trial), 1);
+  }
+}
+
+TEST(Samples, MatchesPerSampleReferenceOnOneAndNoSamples) {
+  expect_matches_reference({}, "empty");
+  expect_matches_reference({3.25}, "one");
+  expect_matches_reference({-0.0}, "one -0.0");
+}
+
+TEST(Samples, EqualSamplesShareOneRun) {
+  Samples s;
+  for (int i = 0; i < 1'000'000; ++i) s.add(20.748);
+  EXPECT_EQ(s.count(), 1'000'000u);
+  EXPECT_EQ(s.runs(), 1u);
+  EXPECT_EQ(s.percentile(99.0), 20.748);
+  // Bit patterns, not ==: the two zeros never share a run.
+  s.add(-0.0);
+  s.add(0.0);
+  s.add(0.0);
+  EXPECT_EQ(s.runs(), 3u);
+  EXPECT_EQ(s.count(), 1'000'003u);
 }
 
 TEST(Histogram, BinningAndClamping) {
