@@ -17,10 +17,10 @@ class InterfaceBackend {
  public:
   virtual ~InterfaceBackend() = default;
 
-  using RxHandler = std::function<void(EthernetFrame)>;
+  using RxHandler = std::function<void(EthernetFrame&&)>;
   using RxTrainHandler = std::function<void(std::vector<EthernetFrame>)>;
 
-  virtual void xmit(EthernetFrame frame) = 0;
+  virtual void xmit(EthernetFrame&& frame) = 0;
   virtual void set_rx(RxHandler handler) = 0;
   /// Burst-capable backends (virtio NAPI polling) deliver a whole poll
   /// cycle's frames through this when installed, so the stack's GRO sees
@@ -40,7 +40,7 @@ class PortBackend : public InterfaceBackend, public Device {
     add_port();
   }
 
-  void xmit(EthernetFrame frame) override { transmit(0, std::move(frame)); }
+  void xmit(EthernetFrame&& frame) override { transmit(0, std::move(frame)); }
   void set_rx(RxHandler handler) override { rx_ = std::move(handler); }
   void set_rx_train(RxTrainHandler handler) override {
     rx_train_ = std::move(handler);
@@ -49,7 +49,7 @@ class PortBackend : public InterfaceBackend, public Device {
     return Device::name();
   }
 
-  void ingress(EthernetFrame frame, int port) override {
+  void ingress(EthernetFrame&& frame, int port) override {
     (void)port;
     if (rx_) rx_(std::move(frame));
   }
@@ -59,7 +59,7 @@ class PortBackend : public InterfaceBackend, public Device {
   // delivery at the end marker — still inside the hop event, no extra
   // scheduling — so its per-frame softirq charges pool and GRO sees the
   // burst.
-  void ingress_burst(EthernetFrame frame, int port) override {
+  void ingress_burst(EthernetFrame&& frame, int port) override {
     if (rx_train_ && costs().batch_size > 1) {
       rx_buf_.push_back(std::move(frame));
     } else {

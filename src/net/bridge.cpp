@@ -49,7 +49,7 @@ Bridge::Bridge(sim::Engine& engine, std::string name,
                const sim::CostModel& costs, bool guest_level)
     : Device(engine, std::move(name), costs), guest_level_(guest_level) {}
 
-void Bridge::ingress(EthernetFrame frame, int port) {
+void Bridge::ingress(EthernetFrame&& frame, int port) {
   fdb_.learn(frame.src, port, engine().now());
   const sim::Duration work =
       guest_level_ ? costs().bridge_pkt_guest : costs().bridge_pkt;
@@ -59,7 +59,7 @@ void Bridge::ingress(EthernetFrame frame, int port) {
   });
 }
 
-void Bridge::forward(EthernetFrame frame, int ingress_port) {
+void Bridge::forward(EthernetFrame&& frame, int ingress_port) {
   const int out = frame.dst.is_broadcast() || frame.dst.is_multicast()
                       ? -1
                       : fdb_.lookup(frame.dst, engine().now());
@@ -68,8 +68,8 @@ void Bridge::forward(EthernetFrame frame, int ingress_port) {
     return;  // hairpin suppressed, as in Linux default
   }
   ++floods_;
-  // Flooding is a genuine duplication point: one copy per extra egress
-  // port, the last one moved.
+  // Flooding is a genuine duplication point: one counted copy per extra
+  // egress port, the last one moved.
   int last = -1;
   for (int p = 0; p < port_count(); ++p) {
     if (p != ingress_port) last = p;
@@ -79,7 +79,7 @@ void Bridge::forward(EthernetFrame frame, int ingress_port) {
     if (p == last) {
       transmit(p, std::move(frame));
     } else {
-      transmit(p, frame);
+      transmit(p, EthernetFrame(frame));
     }
   }
 }

@@ -56,7 +56,7 @@ class Bridge : public Device {
   Bridge(sim::Engine& engine, std::string name, const sim::CostModel& costs,
          bool guest_level = false);
 
-  void ingress(EthernetFrame frame, int port) override;
+  void ingress(EthernetFrame&& frame, int port) override;
 
   [[nodiscard]] const Fdb& fdb() const { return fdb_; }
   [[nodiscard]] Fdb& fdb() { return fdb_; }
@@ -67,7 +67,7 @@ class Bridge : public Device {
   /// bridge cost.  Virtual so the overlay CachedBridge (net/oncache.hpp)
   /// can observe decisions without interposing a device (an extra hop
   /// would change timing); overrides must delegate here.
-  virtual void forward(EthernetFrame frame, int ingress_port);
+  virtual void forward(EthernetFrame&& frame, int ingress_port);
 
  private:
   Fdb fdb_;

@@ -110,7 +110,7 @@ bool Device::process_batched(sim::Duration work, sim::InlineTask&& then) {
   return true;
 }
 
-void Device::transmit(int port, EthernetFrame frame) {
+void Device::transmit(int port, EthernetFrame&& frame) {
   assert(port >= 0 && port < port_count());
   PortSlot& slot = ports_[static_cast<std::size_t>(port)];
   if (slot.peer == nullptr) {

@@ -60,14 +60,14 @@ class Device {
                            sim::Duration wire_latency);
 
   /// Frame arrives on `port` (after hop latency and any peer processing).
-  virtual void ingress(EthernetFrame frame, int port) = 0;
+  virtual void ingress(EthernetFrame&& frame, int port) = 0;
 
   /// Burst delivery from a coalesced hop: the frames of one same-timestamp
   /// group arrive through this back-to-back, followed by exactly one
   /// ingress_burst_end().  The default treats each frame as a plain
   /// ingress; burst-aware receivers (PortBackend) buffer and flush the
   /// whole train synchronously at the end marker, without an extra event.
-  virtual void ingress_burst(EthernetFrame frame, int port) {
+  virtual void ingress_burst(EthernetFrame&& frame, int port) {
     ingress(std::move(frame), port);
   }
   virtual void ingress_burst_end(int port) { (void)port; }
@@ -102,7 +102,7 @@ class Device {
   bool process_batched(sim::Duration work, sim::InlineTask&& then);
 
   /// Sends `frame` out of `port`; it reaches the peer after hop latency.
-  void transmit(int port, EthernetFrame frame);
+  void transmit(int port, EthernetFrame&& frame);
 
   [[nodiscard]] sim::Engine& engine() { return *engine_; }
   [[nodiscard]] const sim::CostModel& costs() const { return *costs_; }

@@ -43,7 +43,7 @@ std::size_t FabricSwitch::ecmp_pick(const EthernetFrame& frame) const {
   return static_cast<std::size_t>(h % uplinks_.size());
 }
 
-void FabricSwitch::ingress(EthernetFrame frame, int port) {
+void FabricSwitch::ingress(EthernetFrame&& frame, int port) {
   // Cut-through forwarding work: pure delay (no CPU resource — the switch
   // ASIC is not a contended core of any machine).
   process(costs().fabric_switch_pkt,
@@ -52,7 +52,7 @@ void FabricSwitch::ingress(EthernetFrame frame, int port) {
           });
 }
 
-void FabricSwitch::forward(EthernetFrame frame, int ingress_port) {
+void FabricSwitch::forward(EthernetFrame&& frame, int ingress_port) {
   if (frame.ethertype == 0x0806 && frame.arp_is_request &&
       frame.dst.is_broadcast()) {
     // Proxy ARP at the edge (EVPN-style suppression): answer from the
@@ -95,7 +95,7 @@ void FabricSwitch::forward(EthernetFrame frame, int ingress_port) {
   count_drop();
 }
 
-void FabricSwitch::egress(int port, EthernetFrame frame) {
+void FabricSwitch::egress(int port, EthernetFrame&& frame) {
   // Per-link serialization: the link is busy for the frame's wire time;
   // later frames queue behind the horizon.  Everything is computed from
   // simulated state, so the queueing is identical in every execution mode.

@@ -64,7 +64,7 @@ class FabricSwitch : public Device {
   /// for unbound MACs hash across the group).
   void add_uplink(int port);
 
-  void ingress(EthernetFrame frame, int port) override;
+  void ingress(EthernetFrame&& frame, int port) override;
 
   /// Deterministic uplink ordinal for a frame (exposed for tests: the
   /// choice must be reproducible from the frame alone).
@@ -85,10 +85,10 @@ class FabricSwitch : public Device {
   [[nodiscard]] std::size_t bound_macs() const { return mac_port_.size(); }
 
  private:
-  void forward(EthernetFrame frame, int ingress_port);
+  void forward(EthernetFrame&& frame, int ingress_port);
   /// Serializes onto the port's link: delays by the busy horizon plus the
   /// frame's wire time, then transmits.
-  void egress(int port, EthernetFrame frame);
+  void egress(int port, EthernetFrame&& frame);
 
   const FabricDirectory* directory_;
   std::uint32_t salt_;

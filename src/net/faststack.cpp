@@ -36,7 +36,7 @@ int FastPathStack::add_interface(InterfaceBackend& backend,
   itf.backend = &backend;
   ifaces_.push_back(std::move(itf));
   backend.set_rx(
-      [this, ifindex](EthernetFrame f) { rx(ifindex, std::move(f)); });
+      [this, ifindex](EthernetFrame&& f) { rx(ifindex, std::move(f)); });
   backend.set_rx_train([this, ifindex](std::vector<EthernetFrame> fs) {
     rx_train(ifindex, std::move(fs));
   });
@@ -105,7 +105,7 @@ bool FastPathStack::is_local_address(Ipv4Address a) const {
 
 // ---- RX path ----------------------------------------------------------------
 
-void FastPathStack::rx(int ifindex, EthernetFrame frame) {
+void FastPathStack::rx(int ifindex, EthernetFrame&& frame) {
   const Interface& itf = ifaces_.at(static_cast<std::size_t>(ifindex));
   if (capture_ != nullptr) capture_->record(engine_->now(), frame);
   // Same MAC filter as FullStack: not-for-us frames cost one lookup.
@@ -124,7 +124,8 @@ void FastPathStack::rx(int ifindex, EthernetFrame frame) {
     ++dropped_;
     return;
   }
-  Packet p = std::move(frame.packet);
+  // The frame is this call's to consume: work on its packet in place.
+  Packet& p = frame.packet;
   if (nestv_trace_enabled())
     std::fprintf(stderr, "[%s t=%llu] fast-rx if=%d %s\n", name_.c_str(),
                  (unsigned long long)engine_->now(), ifindex,
@@ -176,7 +177,7 @@ void FastPathStack::rx_train(int ifindex, std::vector<EthernetFrame> frames) {
       ++dropped_;
       continue;
     }
-    Packet p = std::move(frame.packet);
+    Packet& p = frame.packet;
     if (nestv_trace_enabled())
       std::fprintf(stderr, "[%s t=%llu] fast-rx if=%d %s\n", name_.c_str(),
                    (unsigned long long)engine_->now(), ifindex,
@@ -189,7 +190,7 @@ void FastPathStack::rx_train(int ifindex, std::vector<EthernetFrame> frames) {
   flush();
 }
 
-void FastPathStack::rx_demux(Packet p) {
+void FastPathStack::rx_demux(Packet&& p) {
   // No fragmenter on the fast path: a fragment cannot be reassembled.
   if (p.frag_more || p.frag_offset > 0) {
     ++reassembly_failures_;
@@ -204,7 +205,7 @@ void FastPathStack::rx_demux(Packet p) {
   deliver_local_fast(std::move(p));
 }
 
-void FastPathStack::deliver_local_fast(Packet p) {
+void FastPathStack::deliver_local_fast(Packet&& p) {
   ++delivered_;
   if (p.proto == L4Proto::kUdp) {
     if (sim::test_hooks::faststack_dup_udp_delivery &&
@@ -224,13 +225,13 @@ void FastPathStack::deliver_local_fast(Packet p) {
   ++dropped_;
 }
 
-void FastPathStack::deliver_tcp_fast(Packet p) {
+void FastPathStack::deliver_tcp_fast(Packet&& p) {
   // Mirrors StackBackend::deliver_tcp, but the segment runs inline: its
   // L4 work is already folded into the fixed fastpath_rx_pkt charge.
   const TcpKey key{p.dst_ip, p.dst_port, p.src_ip, p.src_port};
   const auto it = tcp_conns_.find(key);
   if (it != tcp_conns_.end()) {
-    it->second->on_segment(std::move(p));
+    it->second->on_segment(p);
     return;
   }
   const auto lit = tcp_listeners_.find(p.dst_port);
@@ -245,7 +246,7 @@ void FastPathStack::deliver_tcp_fast(Packet p) {
 
 // ---- TX path ----------------------------------------------------------------
 
-void FastPathStack::emit_packet(Packet p) {
+void FastPathStack::emit_packet(Packet&& p) {
   p.ct_id = 0;
   p.ct_reply = false;
   if (p.packet_id == 0) p.packet_id = next_packet_id();
@@ -276,7 +277,7 @@ void FastPathStack::emit_packet(Packet p) {
               });
 }
 
-void FastPathStack::arp_resolve_and_send(Packet p, int out_ifindex) {
+void FastPathStack::arp_resolve_and_send(Packet&& p, int out_ifindex) {
   Interface& itf = ifaces_.at(static_cast<std::size_t>(out_ifindex));
   if (itf.backend == nullptr) {
     // Hot-unplugged: the netdev is gone.

@@ -62,9 +62,9 @@ class FastPathStack : public StackBackend {
   }
 
   // ---- datapath ---------------------------------------------------------
-  void rx(int ifindex, EthernetFrame frame) override;
+  void rx(int ifindex, EthernetFrame&& frame) override;
   void rx_train(int ifindex, std::vector<EthernetFrame> frames) override;
-  void emit_packet(Packet p) override;
+  void emit_packet(Packet&& p) override;
   [[nodiscard]] std::uint32_t egress_gso(Ipv4Address dst) const override;
 
  private:
@@ -79,12 +79,12 @@ class FastPathStack : public StackBackend {
   [[nodiscard]] bool is_local_address(Ipv4Address a) const;
   /// The fused per-packet pass: locality check, L4 demux, segment handling.
   /// Runs inside a softirq item already charged fastpath_rx_pkt.
-  void rx_demux(Packet p);
-  void deliver_local_fast(Packet p);
+  void rx_demux(Packet&& p);
+  void deliver_local_fast(Packet&& p);
   /// TCP demux without a separate l4_segment charge (folded into the fixed
   /// per-packet cost); otherwise mirrors StackBackend::deliver_tcp.
-  void deliver_tcp_fast(Packet p);
-  void arp_resolve_and_send(Packet p, int out_ifindex);
+  void deliver_tcp_fast(Packet&& p);
+  void arp_resolve_and_send(Packet&& p, int out_ifindex);
   void send_arp_request(int ifindex, Ipv4Address target);
   void handle_arp(int ifindex, const EthernetFrame& frame);
 

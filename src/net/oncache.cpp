@@ -18,7 +18,7 @@ void CachedBridge::attach_oncache(OnCache* cache, int vxlan_port) {
       [cache](MacAddress mac) { cache->invalidate_inner_mac(mac); });
 }
 
-void CachedBridge::ingress(EthernetFrame frame, int port) {
+void CachedBridge::ingress(EthernetFrame&& frame, int port) {
   // Egress fast path: a unicast IPv4 frame from a pod whose inner flow has
   // a resolved entry skips the bridge/encap/hook/route chain entirely —
   // one fused event emits the finished outer frame.
@@ -44,7 +44,7 @@ void CachedBridge::ingress(EthernetFrame frame, int port) {
   Bridge::ingress(std::move(frame), port);
 }
 
-void CachedBridge::forward(EthernetFrame frame, int ingress_port) {
+void CachedBridge::forward(EthernetFrame&& frame, int ingress_port) {
   if (cache_ != nullptr && cache_->enabled() &&
       frame.ethertype == 0x0800) {
     // Re-derive the switching decision (side-effect free) to classify the
@@ -186,8 +186,12 @@ const EgressPath* OnCache::match_egress(const EthernetFrame& frame,
   return path;
 }
 
-void OnCache::serve_egress(const EgressPath& path, EthernetFrame inner) {
-  Packet outer;
+void OnCache::serve_egress(const EgressPath& path, EthernetFrame&& inner) {
+  EthernetFrame f;
+  f.src = stack_->iface_mac(path.out_ifindex);
+  f.dst = path.next_hop_mac;
+  f.ethertype = 0x0800;
+  Packet& outer = f.packet;
   outer.src_ip = path.outer_src;
   outer.dst_ip = path.outer_dst;
   outer.proto = L4Proto::kUdp;
@@ -202,12 +206,6 @@ void OnCache::serve_egress(const EgressPath& path, EthernetFrame inner) {
   outer.inner = std::make_unique<EthernetFrame>(std::move(inner));
   outer.packet_id = stack_->next_packet_id();
   outer.sent_at = stack_->engine().now();
-
-  EthernetFrame f;
-  f.src = stack_->iface_mac(path.out_ifindex);
-  f.dst = path.next_hop_mac;
-  f.ethertype = 0x0800;
-  f.packet = std::move(outer);
   stack_->oncache_xmit(path.out_ifindex, std::move(f));
 }
 
@@ -223,7 +221,7 @@ const IngressPath* OnCache::match_ingress(const Packet& outer) {
   return path;
 }
 
-void OnCache::deliver_ingress(int out_port, EthernetFrame frame) {
+void OnCache::deliver_ingress(int out_port, EthernetFrame&& frame) {
   bridge_->inject(out_port, std::move(frame));
 }
 

@@ -169,14 +169,14 @@ class CachedBridge : public Bridge {
 
   /// Injects a frame into `port` as if forwarded (the ingress fast path's
   /// last hop; Device::transmit is protected).
-  void inject(int port, EthernetFrame frame) {
+  void inject(int port, EthernetFrame&& frame) {
     transmit(port, std::move(frame));
   }
 
-  void ingress(EthernetFrame frame, int port) override;
+  void ingress(EthernetFrame&& frame, int port) override;
 
  protected:
-  void forward(EthernetFrame frame, int ingress_port) override;
+  void forward(EthernetFrame&& frame, int ingress_port) override;
 
  private:
   OnCache* cache_ = nullptr;
@@ -258,14 +258,14 @@ class OnCache {
                                                int ingress_port);
   /// Builds and transmits the outer frame (runs inside the bridge's fused
   /// cost event).
-  void serve_egress(const EgressPath& path, EthernetFrame inner);
+  void serve_egress(const EgressPath& path, EthernetFrame&& inner);
 
   /// Ingress lookup + validation (sender VTEP, inner dst MAC) for an outer
   /// datagram addressed to this stack's VTEP port.
   [[nodiscard]] const IngressPath* match_ingress(const Packet& outer);
   /// Hands the stolen inner frame to the overlay bridge port (runs inside
   /// the stack's fused cost event).
-  void deliver_ingress(int out_port, EthernetFrame frame);
+  void deliver_ingress(int out_port, EthernetFrame&& frame);
 
   // ---- invalidation -----------------------------------------------------
   /// Rule-table edit: flush entries whose outer header view (egress pre-

@@ -25,29 +25,7 @@ std::string TcpFlags::to_string() const {
   return s.empty() ? "-" : s;
 }
 
-Packet::Packet(const Packet& other)
-    : src_ip(other.src_ip),
-      dst_ip(other.dst_ip),
-      proto(other.proto),
-      src_port(other.src_port),
-      dst_port(other.dst_port),
-      ttl(other.ttl),
-      ip_id(other.ip_id),
-      frag_offset(other.frag_offset),
-      frag_more(other.frag_more),
-      icmp_type(other.icmp_type),
-      icmp_code(other.icmp_code),
-      icmp_id(other.icmp_id),
-      icmp_seq(other.icmp_seq),
-      tcp_seq(other.tcp_seq),
-      tcp_ack(other.tcp_ack),
-      tcp_flags(other.tcp_flags),
-      tcp_window(other.tcp_window),
-      payload_bytes(other.payload_bytes),
-      packet_id(other.packet_id),
-      ct_id(other.ct_id),
-      ct_reply(other.ct_reply),
-      sent_at(other.sent_at) {
+Packet::Packet(const Packet& other) : PacketHeader(other) {
   if (other.inner) inner = std::make_unique<EthernetFrame>(*other.inner);
 }
 
@@ -74,14 +52,14 @@ void Packet::operator delete(void* p) noexcept {
 }
 
 EthernetFrame::EthernetFrame(const EthernetFrame& other)
-    : src(other.src),
-      dst(other.dst),
-      ethertype(other.ethertype),
-      packet(other.packet),
-      arp_is_request(other.arp_is_request),
+    : packet(other.packet),
       arp_sender_ip(other.arp_sender_ip),
       arp_target_ip(other.arp_target_ip),
-      arp_sender_mac(other.arp_sender_mac) {
+      src(other.src),
+      dst(other.dst),
+      arp_sender_mac(other.arp_sender_mac),
+      ethertype(other.ethertype),
+      arp_is_request(other.arp_is_request) {
   PacketPool::count_clone();
 }
 

@@ -60,7 +60,7 @@ int FullStack::add_interface(InterfaceBackend& backend,
   itf.backend = &backend;
   ifaces_.push_back(std::move(itf));
   backend.set_rx(
-      [this, ifindex](EthernetFrame f) { rx(ifindex, std::move(f)); });
+      [this, ifindex](EthernetFrame&& f) { rx(ifindex, std::move(f)); });
   backend.set_rx_train([this, ifindex](std::vector<EthernetFrame> fs) {
     rx_train(ifindex, std::move(fs));
   });
@@ -119,7 +119,7 @@ bool FullStack::is_local_address(Ipv4Address a) const {
 
 // ---- RX path ----------------------------------------------------------------
 
-void FullStack::rx(int ifindex, EthernetFrame frame) {
+void FullStack::rx(int ifindex, EthernetFrame&& frame) {
   const Interface& itf = ifaces_.at(static_cast<std::size_t>(ifindex));
   if (capture_ != nullptr) capture_->record(engine_->now(), frame);
   // MAC filter: frames not for us (Hostlo's reflect-to-all-queues shows
@@ -138,7 +138,8 @@ void FullStack::rx(int ifindex, EthernetFrame frame) {
     ++dropped_;
     return;
   }
-  Packet p = std::move(frame.packet);
+  // The frame is this call's to consume: work on its packet in place.
+  Packet& p = frame.packet;
   if (nestv_trace_enabled())
     std::fprintf(stderr, "[%s t=%llu] rx if=%d %s\n", name_.c_str(),
                  (unsigned long long)engine_->now(), ifindex, p.describe().c_str());
@@ -186,7 +187,7 @@ void FullStack::rx_train(int ifindex, std::vector<EthernetFrame> frames) {
       ++dropped_;
       continue;
     }
-    Packet p = std::move(frame.packet);
+    Packet& p = frame.packet;
     if (nestv_trace_enabled())
       std::fprintf(stderr, "[%s t=%llu] rx if=%d %s\n", name_.c_str(),
                    (unsigned long long)engine_->now(), ifindex,
@@ -206,7 +207,7 @@ void FullStack::rx_train(int ifindex, std::vector<EthernetFrame> frames) {
   flush_carry();
 }
 
-void FullStack::gro_rx(int ifindex, Packet p, sim::Duration* carry) {
+void FullStack::gro_rx(int ifindex, Packet&& p, sim::Duration* carry) {
   const ConnKey key{p.src_ip, p.dst_ip, p.src_port, p.dst_port, p.proto};
   auto it = gro_flows_.find(key);
   // In train mode the per-frame merge charges pool in *carry; they must be
@@ -241,11 +242,11 @@ void FullStack::gro_rx(int ifindex, Packet p, sim::Duration* carry) {
   }
 
   if (it == gro_flows_.end()) {
+    const bool flush_now = p.tcp_flags.psh;
     GroFlow flow;
-    flow.merged = p;
+    flow.merged = std::move(p);
     flow.ifindex = ifindex;
     flow.count = 1;
-    const bool flush_now = p.tcp_flags.psh;
     auto [ins, ok] = gro_flows_.emplace(key, std::move(flow));
     (void)ok;
     if (flush_now) {
@@ -272,7 +273,7 @@ void FullStack::gro_rx(int ifindex, Packet p, sim::Duration* carry) {
   }
 }
 
-void FullStack::reassemble_rx(int ifindex, Packet p) {
+void FullStack::reassemble_rx(int ifindex, Packet&& p) {
   const ReassemblyKey key{p.src_ip, p.dst_ip, p.ip_id};
   auto it = reassembly_.find(key);
   if (it == reassembly_.end()) {
@@ -318,7 +319,7 @@ void FullStack::gro_flush(const ConnKey& key) {
   ip_rx(flow.ifindex, std::move(flow.merged));
 }
 
-void FullStack::ip_rx(int ifindex, Packet p) {
+void FullStack::ip_rx(int ifindex, Packet&& p) {
   // nf_defrag: fragments are reassembled before any hook runs.
   if (p.frag_more || p.frag_offset > 0) {
     reassemble_rx(ifindex, std::move(p));
@@ -345,7 +346,7 @@ void FullStack::ip_rx(int ifindex, Packet p) {
   ip_rx_one(ifindex, std::move(p));
 }
 
-void FullStack::ip_rx_one(int ifindex, Packet p) {
+void FullStack::ip_rx_one(int ifindex, Packet&& p) {
   if (oncache_ != nullptr && oncache_rx(ifindex, p)) return;
   if (flowcache_enabled_ && flowcache_rx(ifindex, p)) return;
   // Remember the ingress-time identity before any hook rewrites headers;
@@ -421,20 +422,15 @@ void FullStack::ip_rx_one(int ifindex, Packet p) {
         static_cast<double>(cost) * jitter_rng_.lognormal(-0.5 * s * s, s));
   }
   if (nestv_trace_enabled()) std::fprintf(stderr, "[%s t=%llu] fwd-sched out=%d cost=%llu busy_until=%llu %s\n", name_.c_str(), (unsigned long long)engine_->now(), route->ifindex, (unsigned long long)cost, (unsigned long long)(softirq_ ? softirq_->busy_until() : 0), p.describe().c_str());
-  // Init-capture the interface name: a plain copy-capture of the
-  // `const std::string&` would make the closure member `const std::string`,
-  // whose "move" is a throwing copy — disqualifying the closure from
-  // InlineTask's inline storage and putting a heap allocation on every
-  // forwarded packet.
   softirq_run(cost, [this, pkt = std::move(p), out = route->ifindex,
-                     in_name = std::string(in_name), fkey]() mutable {
-    egress(std::move(pkt), out, in_name, fkey);
+                     ifindex, fkey]() mutable {
+    egress(std::move(pkt), out, ifindex, fkey);
   });
 }
 
 // ---- local delivery ----------------------------------------------------------
 
-void FullStack::deliver_local(Packet p, int ifindex) {
+void FullStack::deliver_local(Packet&& p, int ifindex) {
   (void)ifindex;
   ++delivered_;
   if (p.proto == L4Proto::kUdp) {
@@ -505,7 +501,7 @@ void FullStack::udp_unbound(const Packet& p) {
 
 // ---- TX path -------------------------------------------------------------------
 
-void FullStack::emit_packet(Packet p) {
+void FullStack::emit_packet(Packet&& p) {
   p.ct_id = 0;
   p.ct_reply = false;
   if (p.packet_id == 0) p.packet_id = next_packet_id();
@@ -544,14 +540,18 @@ void FullStack::emit_packet(Packet p) {
     return;
   }
   softirq_run(cost, [this, pkt = std::move(p), out = route->ifindex]() mutable {
-    egress(std::move(pkt), out, "");
+    egress(std::move(pkt), out, -1);
   });
 }
 
-void FullStack::egress(Packet p, int out_ifindex,
-                       const std::string& in_iface,
+void FullStack::egress(Packet&& p, int out_ifindex, int in_ifindex,
                        std::optional<flowcache::FlowKey> record) {
   if (nestv_trace_enabled()) std::fprintf(stderr, "[%s t=%llu] egress if=%d %s\n", name_.c_str(), (unsigned long long)engine_->now(), out_ifindex, p.describe().c_str());
+  static const std::string kNoIface;
+  const std::string& in_iface =
+      in_ifindex < 0
+          ? kNoIface
+          : ifaces_[static_cast<std::size_t>(in_ifindex)].cfg.name;
   const Interface& itf = ifaces_.at(static_cast<std::size_t>(out_ifindex));
   const auto post = nf_.run_hook(Hook::kPostrouting, p, in_iface,
                                  itf.cfg.name, engine_->now());
@@ -567,7 +567,7 @@ void FullStack::egress(Packet p, int out_ifindex,
 }
 
 void FullStack::arp_resolve_and_send(
-    Packet p, int out_ifindex, std::optional<flowcache::FlowKey> record) {
+    Packet&& p, int out_ifindex, std::optional<flowcache::FlowKey> record) {
   Interface& itf = ifaces_.at(static_cast<std::size_t>(out_ifindex));
   if (itf.backend == nullptr) {
     // Hot-unplugged (QMP device_del): the netdev is gone, traffic routed
@@ -674,7 +674,7 @@ void FullStack::handle_arp(int ifindex, const EthernetFrame& frame) {
   }
 }
 
-void FullStack::loopback_deliver(Packet p) { deliver_local(std::move(p), 0); }
+void FullStack::loopback_deliver(Packet&& p) { deliver_local(std::move(p), 0); }
 
 // ---- flow cache ------------------------------------------------------------
 
@@ -781,14 +781,13 @@ bool FullStack::oncache_rx(int ifindex, Packet& p) {
           static_cast<double>(p.inner->wire_bytes()));
   const int out_port = path->out_port;
   // Sole consumer: steal the inner frame, as the VTEP slow path does.
-  EthernetFrame inner = std::move(*p.inner);
-  softirq_run(cost, [this, out_port, f = std::move(inner)]() mutable {
+  softirq_run(cost, [this, out_port, f = std::move(*p.inner)]() mutable {
     oncache_->deliver_ingress(out_port, std::move(f));
   });
   return true;
 }
 
-void FullStack::oncache_xmit(int out_ifindex, EthernetFrame frame) {
+void FullStack::oncache_xmit(int out_ifindex, EthernetFrame&& frame) {
   Interface& itf = ifaces_.at(static_cast<std::size_t>(out_ifindex));
   if (itf.backend == nullptr) {
     // Hot-unplugged while the fused event was in flight.

@@ -140,15 +140,15 @@ class FullStack : public StackBackend {
   }
 
   // ---- datapath ---------------------------------------------------------
-  void rx(int ifindex, EthernetFrame frame) override;
+  void rx(int ifindex, EthernetFrame&& frame) override;
   void rx_train(int ifindex, std::vector<EthernetFrame> frames) override;
 
   /// L4 -> network: runs OUTPUT/POSTROUTING, routes and transmits.
-  void emit_packet(Packet p) override;
+  void emit_packet(Packet&& p) override;
 
   /// Oncache egress fast path's last hop: transmit a fully resolved frame
   /// (capture tap included, like arp_resolve_and_send's tail).
-  void oncache_xmit(int out_ifindex, EthernetFrame frame) override;
+  void oncache_xmit(int out_ifindex, EthernetFrame&& frame) override;
 
   [[nodiscard]] std::uint32_t egress_gso(Ipv4Address dst) const override;
 
@@ -168,18 +168,20 @@ class FullStack : public StackBackend {
   /// gro_pkt charge instead of submitting a softirq item per frame; any
   /// accumulated charge is flushed before a merge triggers gro_flush so
   /// softirq occupancy keeps the per-frame FIFO order.
-  void gro_rx(int ifindex, Packet p, sim::Duration* carry = nullptr);
+  void gro_rx(int ifindex, Packet&& p, sim::Duration* carry = nullptr);
   void gro_flush(const ConnKey& key);
-  void ip_rx(int ifindex, Packet p);
-  void ip_rx_one(int ifindex, Packet p);
-  void deliver_local(Packet p, int ifindex);
+  void ip_rx(int ifindex, Packet&& p);
+  void ip_rx_one(int ifindex, Packet&& p);
+  void deliver_local(Packet&& p, int ifindex);
   /// Post-routing egress: POSTROUTING hook, ARP resolve, hand to backend.
   /// `record` carries the ingress-time flow key of a cacheable forwarded
   /// packet through the async chain so the resolved path can be memoized.
-  void egress(Packet p, int out_ifindex, const std::string& in_iface,
+  /// `in_ifindex` is a forwarded packet's ingress interface, or -1 for
+  /// locally generated traffic (POSTROUTING then sees no input device).
+  void egress(Packet&& p, int out_ifindex, int in_ifindex,
               std::optional<flowcache::FlowKey> record = std::nullopt);
   void arp_resolve_and_send(
-      Packet p, int out_ifindex,
+      Packet&& p, int out_ifindex,
       std::optional<flowcache::FlowKey> record = std::nullopt);
   /// Serves one packet from a cached path; returns false on a miss or a
   /// stale entry (caller falls through to the slow path).
@@ -192,7 +194,7 @@ class FullStack : public StackBackend {
                    flowcache::CachedPath::Action action, int out_ifindex,
                    MacAddress next_hop_mac);
   void send_arp_request(int ifindex, Ipv4Address target);
-  void loopback_deliver(Packet p);
+  void loopback_deliver(Packet&& p);
 
   void deliver_icmp(const Packet& p);
   /// Emits an ICMP error (type/code) about `offender` back to its source.
@@ -201,7 +203,7 @@ class FullStack : public StackBackend {
   /// Unbound UDP port: answer with ICMP port-unreachable.
   void udp_unbound(const Packet& p) override;
 
-  void reassemble_rx(int ifindex, Packet p);
+  void reassemble_rx(int ifindex, Packet&& p);
 
   std::vector<Interface> ifaces_;  ///< [0] is loopback
   RoutingTable routes_;

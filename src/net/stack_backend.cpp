@@ -170,7 +170,7 @@ void StackBackend::resource_run(sim::SerialResource* res,
 
 void StackBackend::udp_unbound(const Packet&) {}
 
-void StackBackend::deliver_udp(Packet p) {
+void StackBackend::deliver_udp(Packet&& p) {
   const auto it = udp_binds_.find(p.dst_port);
   if (it == udp_binds_.end()) {
     ++dropped_;
@@ -205,7 +205,7 @@ void StackBackend::deliver_udp(Packet p) {
   });
 }
 
-void StackBackend::deliver_tcp(Packet p) {
+void StackBackend::deliver_tcp(Packet&& p) {
   if (nestv_trace_enabled())
     std::fprintf(stderr, "[%s t=%llu] deliver_tcp %s seq=%u ack=%u\n", name_.c_str(),
                  (unsigned long long)engine_->now(), p.describe().c_str(), p.tcp_seq, p.tcp_ack);
@@ -214,9 +214,7 @@ void StackBackend::deliver_tcp(Packet p) {
   if (it != tcp_conns_.end()) {
     TcpConnection* conn = it->second.get();
     softirq_run(costs_->l4_segment,
-                [conn, pkt = std::move(p)]() mutable {
-                  conn->on_segment(std::move(pkt));
-                });
+                [conn, pkt = std::move(p)] { conn->on_segment(pkt); });
     return;
   }
   const auto lit = tcp_listeners_.find(p.dst_port);
@@ -226,9 +224,7 @@ void StackBackend::deliver_tcp(Packet p) {
     // completes so no delivery is missed.
     lit->second.on_accept(TcpSocket(&conn));
     softirq_run(costs_->l4_segment,
-                [&conn, pkt = std::move(p)]() mutable {
-                  conn.open_passive(pkt);
-                });
+                [&conn, pkt = std::move(p)] { conn.open_passive(pkt); });
     return;
   }
   ++dropped_;
@@ -236,7 +232,7 @@ void StackBackend::deliver_tcp(Packet p) {
 
 // ---- TX entry ---------------------------------------------------------------
 
-void StackBackend::l4_emit(sim::Duration l4_work, Packet p) {
+void StackBackend::l4_emit(sim::Duration l4_work, Packet&& p) {
   softirq_run(l4_work, [this, pkt = std::move(p)]() mutable {
     emit_packet(std::move(pkt));
   });

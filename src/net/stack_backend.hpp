@@ -187,7 +187,7 @@ class StackBackend {
   /// Transmits a fully resolved frame out `ifindex` — the last hop of the
   /// oncache egress fast path (hooks, route and ARP already memoized).
   /// The base backend has no interface table; it drops.
-  virtual void oncache_xmit(int out_ifindex, EthernetFrame frame) {
+  virtual void oncache_xmit(int out_ifindex, EthernetFrame&& frame) {
     (void)out_ifindex;
     (void)frame;
     ++dropped_;
@@ -272,7 +272,7 @@ class StackBackend {
                         std::uint16_t dst_port, sim::SerialResource* app);
 
   // ---- datapath (called by backends / internals) -------------------------
-  virtual void rx(int ifindex, EthernetFrame frame) = 0;
+  virtual void rx(int ifindex, EthernetFrame&& frame) = 0;
 
   /// Burst delivery from a batched backend (one virtio NAPI poll cycle):
   /// the frames traverse the same RX pipeline as rx(), but their per-frame
@@ -282,10 +282,10 @@ class StackBackend {
 
   /// L4 -> network: routes and transmits (plus OUTPUT/POSTROUTING on
   /// backends that run netfilter).  All processing charges softirq.
-  virtual void emit_packet(Packet p) = 0;
+  virtual void emit_packet(Packet&& p) = 0;
 
   /// Charges `l4_work` to softirq, then emits `p` (used by TCP/UDP).
-  void l4_emit(sim::Duration l4_work, Packet p);
+  void l4_emit(sim::Duration l4_work, Packet&& p);
 
   /// Effective TCP segment size towards `dst`: loopback GSO for local
   /// destinations, else the egress interface's GSO size.
@@ -336,8 +336,8 @@ class StackBackend {
   /// L4 demux into the shared socket tables (same for every backend; the
   /// caller has already decided the packet is locally destined and paid
   /// its pipeline's RX costs).
-  void deliver_udp(Packet p);
-  void deliver_tcp(Packet p);
+  void deliver_udp(Packet&& p);
+  void deliver_tcp(Packet&& p);
 
   /// Hook for datagrams arriving on an unbound port (after the drop is
   /// counted); FullStack answers with ICMP port-unreachable, other

@@ -17,7 +17,7 @@ sim::Duration TapDevice::frame_work(const EthernetFrame& f) const {
                                     static_cast<double>(f.wire_bytes()));
 }
 
-void TapDevice::ingress(EthernetFrame frame, int port) {
+void TapDevice::ingress(EthernetFrame&& frame, int port) {
   assert(port == 0);
   (void)port;
   if (!fd_handler_) {
@@ -30,7 +30,7 @@ void TapDevice::ingress(EthernetFrame frame, int port) {
   });
 }
 
-void TapDevice::inject(EthernetFrame frame) {
+void TapDevice::inject(EthernetFrame&& frame) {
   process_batched(frame_work(frame), [this, f = std::move(frame)]() mutable {
     ++from_fd_;
     transmit(0, std::move(f));

@@ -13,7 +13,7 @@ namespace nestv::net {
 
 class TapDevice : public Device {
  public:
-  using FdHandler = std::function<void(EthernetFrame)>;
+  using FdHandler = std::function<void(EthernetFrame&&)>;
 
   TapDevice(sim::Engine& engine, std::string name,
             const sim::CostModel& costs);
@@ -22,10 +22,10 @@ class TapDevice : public Device {
   void set_fd_handler(FdHandler handler) { fd_handler_ = std::move(handler); }
 
   /// Network side -> fd side (kernel delivers a frame to the fd reader).
-  void ingress(EthernetFrame frame, int port) override;
+  void ingress(EthernetFrame&& frame, int port) override;
 
   /// fd side -> network side (a write() on the tap fd injects a frame).
-  void inject(EthernetFrame frame);
+  void inject(EthernetFrame&& frame);
 
   [[nodiscard]] std::uint64_t frames_to_fd() const { return to_fd_; }
   [[nodiscard]] std::uint64_t frames_from_fd() const { return from_fd_; }

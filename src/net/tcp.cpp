@@ -247,7 +247,7 @@ void TcpConnection::on_rto() {
   pump();
 }
 
-void TcpConnection::on_segment(Packet p) {
+void TcpConnection::on_segment(const Packet& p) {
   if (state_ == State::kDone) {
     // TIME_WAIT-lite: a retransmitted FIN from the peer (our final ACK was
     // lost or still in flight) must be re-ACKed or the peer RTOs forever.

@@ -49,7 +49,7 @@ class TcpConnection {
   void app_send(std::uint32_t bytes, sim::InlineTask&& on_queued = {});
 
   /// Segment arrival from the stack (already past INPUT).
-  void on_segment(Packet p);
+  void on_segment(const Packet& p);
 
   void close();
 

@@ -11,7 +11,7 @@ VethEnd::VethEnd(sim::Engine& engine, std::string name,
   add_port();  // port 0: graph attachment (unused when stack-attached)
 }
 
-void VethEnd::cross(EthernetFrame frame) {
+void VethEnd::cross(EthernetFrame&& frame) {
   assert(twin_ != nullptr && "veth end used before pairing");
   const sim::Duration work =
       costs().veth_pkt +
@@ -23,7 +23,7 @@ void VethEnd::cross(EthernetFrame frame) {
   });
 }
 
-void VethEnd::emerge(EthernetFrame frame) {
+void VethEnd::emerge(EthernetFrame&& frame) {
   if (rx_) {
     rx_(std::move(frame));
   } else {
@@ -31,13 +31,13 @@ void VethEnd::emerge(EthernetFrame frame) {
   }
 }
 
-void VethEnd::ingress(EthernetFrame frame, int port) {
+void VethEnd::ingress(EthernetFrame&& frame, int port) {
   assert(port == 0);
   (void)port;
   cross(std::move(frame));
 }
 
-void VethEnd::xmit(EthernetFrame frame) { cross(std::move(frame)); }
+void VethEnd::xmit(EthernetFrame&& frame) { cross(std::move(frame)); }
 
 VethPair::VethPair(sim::Engine& engine, const std::string& name,
                    const sim::CostModel& costs)

@@ -21,10 +21,10 @@ class VethEnd : public Device, public InterfaceBackend {
   VethEnd(sim::Engine& engine, std::string name, const sim::CostModel& costs);
 
   // Graph side: frame arrives from the connected peer (bridge, ...).
-  void ingress(EthernetFrame frame, int port) override;
+  void ingress(EthernetFrame&& frame, int port) override;
 
   // Stack side (InterfaceBackend).
-  void xmit(EthernetFrame frame) override;
+  void xmit(EthernetFrame&& frame) override;
   void set_rx(RxHandler handler) override { rx_ = std::move(handler); }
   [[nodiscard]] const std::string& backend_name() const override {
     return Device::name();
@@ -34,9 +34,9 @@ class VethEnd : public Device, public InterfaceBackend {
   friend class VethPair;
 
   /// Crossing cost charged on this (sending) end, then the twin emits.
-  void cross(EthernetFrame frame);
+  void cross(EthernetFrame&& frame);
   /// Frame emerges from this end: to the stack if attached, else port 0.
-  void emerge(EthernetFrame frame);
+  void emerge(EthernetFrame&& frame);
 
   VethEnd* twin_ = nullptr;
   RxHandler rx_;

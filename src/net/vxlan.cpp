@@ -39,7 +39,7 @@ void VxlanDevice::add_flood_target(Ipv4Address vtep) {
   flood_.push_back(vtep);
 }
 
-void VxlanDevice::ingress(EthernetFrame frame, int port) {
+void VxlanDevice::ingress(EthernetFrame&& frame, int port) {
   (void)port;
   const auto it = l2_table_.find(frame.dst);
   if (it != l2_table_.end()) {
@@ -50,18 +50,18 @@ void VxlanDevice::ingress(EthernetFrame frame, int port) {
   if (oncache_ != nullptr) {
     oncache_->abandon_egress({frame.packet.packet_id, frame.src});
   }
-  // Flooding is a genuine duplication point: one copy per remote VTEP,
-  // the last one moved.
+  // Flooding is a genuine duplication point: one counted copy per remote
+  // VTEP, the last one moved.
   for (std::size_t i = 0; i < flood_.size(); ++i) {
     if (i + 1 == flood_.size()) {
       encap_to(flood_[i], std::move(frame));
     } else {
-      encap_to(flood_[i], frame);
+      encap_to(flood_[i], EthernetFrame(frame));
     }
   }
 }
 
-void VxlanDevice::encap_to(Ipv4Address vtep, EthernetFrame inner) {
+void VxlanDevice::encap_to(Ipv4Address vtep, EthernetFrame&& inner) {
   const auto& c = costs();
   const sim::Duration work =
       c.vxlan_encap_pkt +
@@ -109,14 +109,14 @@ void VxlanDevice::on_vtep_datagram(StackBackend::UdpDelivery& d) {
       c.vxlan_decap_pkt +
       static_cast<sim::Duration>(c.vxlan_copy_byte *
                                  static_cast<double>(d.inner->wire_bytes()));
-  // The VTEP is the delivery's sole consumer: steal the inner frame.
-  EthernetFrame inner = std::move(*d.inner);
+  const EthernetFrame& inner = *d.inner;
   if (oncache_ != nullptr && inner.ethertype == 0x0800) {
     oncache_->note_ingress(
         {inner.packet.packet_id, inner.src},
         oncache::IngressKey::of(inner.packet, vni_), d.src_ip);
   }
-  process_batched(work, [this, f = std::move(inner)]() mutable {
+  // The VTEP is the delivery's sole consumer: steal the inner frame.
+  process_batched(work, [this, f = std::move(*d.inner)]() mutable {
     ++decap_;
     transmit(0, std::move(f));
   });

@@ -41,7 +41,7 @@ class VxlanDevice : public Device {
   void set_oncache(oncache::OnCache* cache) { oncache_ = cache; }
 
   /// Overlay bridge -> tunnel.
-  void ingress(EthernetFrame frame, int port) override;
+  void ingress(EthernetFrame&& frame, int port) override;
 
   [[nodiscard]] std::uint32_t vni() const { return vni_; }
   [[nodiscard]] std::uint64_t encapsulated() const { return encap_; }
@@ -54,7 +54,7 @@ class VxlanDevice : public Device {
   }
 
  private:
-  void encap_to(Ipv4Address vtep, EthernetFrame inner);
+  void encap_to(Ipv4Address vtep, EthernetFrame&& inner);
   void on_vtep_datagram(StackBackend::UdpDelivery& d);
 
   StackBackend* stack_;

@@ -539,7 +539,18 @@ MacroScaleResult run_macro_scale(const MacroScaleConfig& config) {
   for (auto& pump : pumps) *pump = nullptr;
 
   // ---- aggregate, in machine / server order ----------------------------
-  std::vector<std::pair<sim::TimePoint, int>> sweep;  // (t, 0=arrive 1=done)
+  // Peak concurrency from the sorted arrival and completion instants; the
+  // per-machine vectors are still alive here, so reserve exactly.
+  std::size_t n_arrivals = 0;
+  std::size_t n_completions = 0;
+  for (const MachineStats& a : stats) {
+    n_arrivals += a.arrivals.size();
+    n_completions += a.completions.size();
+  }
+  std::vector<sim::TimePoint> arrivals;
+  std::vector<sim::TimePoint> completions;
+  arrivals.reserve(n_arrivals);
+  completions.reserve(n_completions);
   for (int i = 0; i < m_count; ++i) {
     const MachineStats& a = stats[std::size_t(i)];
     out.flows_completed += a.flows_completed;
@@ -554,18 +565,23 @@ MacroScaleResult run_macro_scale(const MacroScaleConfig& config) {
     out.flowcache_entries_at_peak += a.fc_entries_at_peak;
     out.oncache_entries_at_peak += a.oc_peak_entries;
     out.oncache_bytes_at_peak += a.oc_bytes_at_peak;
-    for (const sim::TimePoint t : a.arrivals) sweep.emplace_back(t, 0);
-    for (const sim::TimePoint t : a.completions) sweep.emplace_back(t, 1);
+    arrivals.insert(arrivals.end(), a.arrivals.begin(), a.arrivals.end());
+    completions.insert(completions.end(), a.completions.begin(),
+                       a.completions.end());
   }
-  std::sort(sweep.begin(), sweep.end());
+  std::sort(arrivals.begin(), arrivals.end());
+  std::sort(completions.begin(), completions.end());
+  // Two-pointer walk: a flow completing at the instant another arrives
+  // still counts as live for that arrival (arrivals win ties).
   std::uint64_t live = 0;
-  for (const auto& [t, kind] : sweep) {
-    if (kind == 0) {
-      ++live;
-      out.peak_concurrent_flows = std::max(out.peak_concurrent_flows, live);
-    } else {
+  std::size_t done = 0;
+  for (const sim::TimePoint t : arrivals) {
+    while (done < completions.size() && completions[done] < t) {
       --live;
+      ++done;
     }
+    ++live;
+    out.peak_concurrent_flows = std::max(out.peak_concurrent_flows, live);
   }
   if (out.conntrack_peak_entries > 0) {
     out.state_bytes_per_flow = double(out.state_bytes_at_peak) /

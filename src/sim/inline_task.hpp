@@ -4,9 +4,9 @@
 // inline buffer is 16 bytes and additionally requires trivially-copyable
 // functors, so any lambda that moves a Packet (or captures a shared_ptr)
 // heap-allocated its closure.  InlineTask stores closures up to
-// kInlineBytes in place — sized for the largest datapath lambda, a
-// forwarded Packet plus a flow-cache key plus a few words of context — and
-// only falls back to the heap for oversized or throwing-move functors.
+// kInlineBytes in place — sized for the largest datapath lambda, a moved
+// EthernetFrame plus a few words of context — and only falls back to the
+// heap for oversized or throwing-move functors.
 // Fallbacks are counted (per thread, so parallel bench sweeps don't race)
 // and reported by bench/abl_engine_perf as `tasks_heap`; the steady-state
 // datapath keeps that counter at zero.
@@ -23,10 +23,11 @@ namespace nestv::sim {
 class InlineTask {
  public:
   /// Inline closure capacity.  The largest steady-state closure is the
-  /// forwarding continuation in NetworkStack::ip_rx_one: a moved Packet
-  /// (~104 bytes), a std::string interface name (32), an optional FlowKey
-  /// (~24) and a couple of pointers/ints — about 176 bytes.  192 leaves
-  /// headroom without bloating the event-queue slots.
+  /// ONCache egress fast path's in oncache::CachedBridge::ingress: `this`,
+  /// a copied EgressPath (48 bytes) and a moved EthernetFrame (112) — 168
+  /// bytes.  FullStack::ip_rx_one's forwarding continuation (a Packet of
+  /// 80 bytes, two ifindexes and an optional FlowKey) takes 120.  192
+  /// leaves headroom without bloating the event-queue slots.
   static constexpr std::size_t kInlineBytes = 192;
 
   InlineTask() noexcept = default;

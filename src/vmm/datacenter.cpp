@@ -51,15 +51,16 @@ void PhysicalSwitch::attach(PhysicalMachine& machine) {
   cfg.subnet = subnet_;
   cfg.gso_bytes = costs_->gso_virtio;  // physical NICs have TSO
   const int ext_if = machine.stack().add_interface(*member.port, cfg);
+  member.ext_ifindex = ext_if;
 
   // Full-mesh routes: everyone reaches everyone's VM subnet through the
   // owner's external address.
   for (Member& other : members_) {
-    const int other_ext = other.machine->stack().ifindex_of("ext0");
     machine.stack().routes().add(net::Route{
         other.machine->config().bridge_subnet, ext_if, other.ext_ip, 0});
     other.machine->stack().routes().add(net::Route{
-        machine.config().bridge_subnet, other_ext, member.ext_ip, 0});
+        machine.config().bridge_subnet, other.ext_ifindex, member.ext_ip,
+        0});
   }
   members_.push_back(std::move(member));
 }

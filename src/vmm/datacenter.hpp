@@ -52,6 +52,7 @@ class PhysicalSwitch {
     PhysicalMachine* machine = nullptr;
     std::unique_ptr<net::PortBackend> port;
     net::Ipv4Address ext_ip;
+    int ext_ifindex = -1;  ///< "ext0" in the machine's stack
   };
 
   sim::Engine* engine_;

@@ -99,6 +99,7 @@ class HierarchicalFabric {
     PhysicalMachine* machine = nullptr;
     std::unique_ptr<net::PortBackend> port;
     net::Ipv4Address ext_ip;
+    int ext_ifindex = -1;  ///< "ext0" in the machine's stack
   };
 
   /// Creates the ToR for rack `r` on `engine` and meshes it to each spine.

@@ -21,7 +21,7 @@ int HostloTap::add_queue(VirtioNic& endpoint) {
   return index;
 }
 
-void HostloTap::rx_from_queue(int from_queue, net::EthernetFrame frame) {
+void HostloTap::rx_from_queue(int from_queue, net::EthernetFrame&& frame) {
   (void)from_queue;  // the reflect includes the writer's own queue
   const auto& c = *costs_;
   const auto n = static_cast<sim::Duration>(queues_.size());
@@ -35,15 +35,15 @@ void HostloTap::rx_from_queue(int from_queue, net::EthernetFrame frame) {
   auto reflect = [this, f = std::move(frame)]() mutable {
     ++reflected_;
     // Reflect-to-all-queues is the datapath's canonical duplication point:
-    // every queue gets a genuine copy, except the last, which takes the
-    // original.
+    // every queue gets a genuine, counted copy, except the last, which
+    // takes the original.
     const std::size_t n = queues_.size();
     for (std::size_t i = 0; i < n; ++i) {
       ++deliveries_;
       if (i + 1 == n) {
         queues_[i]->deliver_to_guest(std::move(f));
       } else {
-        queues_[i]->deliver_to_guest(f);
+        queues_[i]->deliver_to_guest(net::EthernetFrame(f));
       }
     }
   };

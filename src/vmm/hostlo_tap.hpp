@@ -38,7 +38,7 @@ class HostloTap {
   /// Ethernet level, to *all* queues (including the writer's own — the
   /// guest stack's MAC filter discards the self-copy, at a small cost that
   /// is part of the design's measured overhead).
-  void rx_from_queue(int from_queue, net::EthernetFrame frame);
+  void rx_from_queue(int from_queue, net::EthernetFrame&& frame);
 
   [[nodiscard]] int queue_count() const {
     return static_cast<int>(queues_.size());

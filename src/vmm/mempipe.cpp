@@ -13,7 +13,7 @@ MemPipe::MemPipe(Vm& a, Vm& b, std::string name) : name_(std::move(name)) {
   b_.name = name_ + ".b";
 }
 
-void MemPipe::Endpoint::xmit(net::EthernetFrame frame) {
+void MemPipe::Endpoint::xmit(net::EthernetFrame&& frame) {
   ++frames_tx;
   const auto& costs = vm->host().costs();
   // Sender: copy into the shared ring (guest kernel work).

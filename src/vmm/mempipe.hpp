@@ -41,7 +41,7 @@ class MemPipe {
     std::string name;
     std::uint64_t frames_tx = 0;
 
-    void xmit(net::EthernetFrame frame) override;
+    void xmit(net::EthernetFrame&& frame) override;
     void set_rx(RxHandler handler) override { rx = std::move(handler); }
     [[nodiscard]] const std::string& backend_name() const override {
       return name;

@@ -22,7 +22,7 @@ void VirtioNic::attach_host_tap(net::TapDevice& tap) {
   assert(hostlo_ == nullptr && host_tap_ == nullptr);
   host_tap_ = &tap;
   tap.set_fd_handler(
-      [this](net::EthernetFrame f) { deliver_to_guest(std::move(f)); });
+      [this](net::EthernetFrame&& f) { deliver_to_guest(std::move(f)); });
 }
 
 void VirtioNic::attach_hostlo(HostloTap& hostlo, int queue_index) {
@@ -52,7 +52,7 @@ void VirtioNic::schedule_guest(sim::Duration work, sim::InlineTask&& task) {
   }
 }
 
-void VirtioNic::xmit(net::EthernetFrame frame) {
+void VirtioNic::xmit(net::EthernetFrame&& frame) {
   ++tx_;
   if (batched()) {
     tx_ring_.push_back(std::move(frame));
@@ -122,7 +122,7 @@ void VirtioNic::tx_kick() {
   });
 }
 
-void VirtioNic::deliver_to_guest(net::EthernetFrame frame) {
+void VirtioNic::deliver_to_guest(net::EthernetFrame&& frame) {
   if (batched()) {
     rx_ring_.push_back(std::move(frame));
     // Interrupt suppression: the pending poll will see this descriptor.

@@ -40,7 +40,7 @@ class VirtioNic : public net::InterfaceBackend {
   void attach_hostlo(HostloTap& hostlo, int queue_index);
 
   // InterfaceBackend: guest stack side.
-  void xmit(net::EthernetFrame frame) override;
+  void xmit(net::EthernetFrame&& frame) override;
   void set_rx(RxHandler handler) override { rx_ = std::move(handler); }
   void set_rx_train(RxTrainHandler handler) override {
     rx_train_ = std::move(handler);
@@ -50,7 +50,7 @@ class VirtioNic : public net::InterfaceBackend {
   }
 
   /// Host -> guest delivery (called by the tap fd handler / Hostlo).
-  void deliver_to_guest(net::EthernetFrame frame);
+  void deliver_to_guest(net::EthernetFrame&& frame);
 
   [[nodiscard]] std::uint64_t tx_frames() const { return tx_; }
   [[nodiscard]] std::uint64_t rx_frames() const { return rx_count_; }

@@ -169,7 +169,7 @@ TEST(VhostCharges, TxAndRxAreByteDependentAndSymmetric) {
 
   net::EthernetFrame big;
   big.packet.payload_bytes = 1400;
-  tx_nic.xmit(big);
+  tx_nic.xmit(net::EthernetFrame(big));
   rx_nic.deliver_to_guest(std::move(big));
   engine.run();
   EXPECT_GT(w_rx.busy_time(), 0u);

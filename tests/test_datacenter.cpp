@@ -120,7 +120,7 @@ TEST_F(DatacenterFixture, CrossHostOverlayTunnel) {
   vx_b.add_remote(mac_a, ip_a);
 
   std::vector<net::EthernetFrame> delivered;
-  mem_b.set_rx([&](net::EthernetFrame f) { delivered.push_back(std::move(f)); });
+  mem_b.set_rx([&](net::EthernetFrame&& f) { delivered.push_back(std::move(f)); });
 
   net::EthernetFrame inner;
   inner.src = mac_a;

@@ -179,14 +179,14 @@ struct MemPipeFixture : ::testing::Test {
 TEST_F(MemPipeFixture, TransfersFramesBothWays) {
   std::vector<net::EthernetFrame> at_b, at_a;
   pipe.endpoint_a().set_rx(
-      [&](net::EthernetFrame f) { at_a.push_back(std::move(f)); });
+      [&](net::EthernetFrame&& f) { at_a.push_back(std::move(f)); });
   pipe.endpoint_b().set_rx(
-      [&](net::EthernetFrame f) { at_b.push_back(std::move(f)); });
+      [&](net::EthernetFrame&& f) { at_b.push_back(std::move(f)); });
 
   net::EthernetFrame f;
   f.packet.payload_bytes = 100;
-  pipe.endpoint_a().xmit(f);
-  pipe.endpoint_b().xmit(f);
+  pipe.endpoint_a().xmit(net::EthernetFrame(f));
+  pipe.endpoint_b().xmit(std::move(f));
   bed.run_for(sim::milliseconds(1));
   EXPECT_EQ(at_b.size(), 1u);
   EXPECT_EQ(at_a.size(), 1u);
@@ -221,7 +221,7 @@ TEST_F(MemPipeFixture, NoHostKernelInvolvement) {
   f.packet.payload_bytes = 1000;
   const auto host_sys_before =
       bed.machine().host_account().get(sim::CpuCategory::kSys);
-  pipe.endpoint_a().xmit(f);
+  pipe.endpoint_a().xmit(std::move(f));
   bed.run_for(sim::milliseconds(1));
   // MemPipe is guest-to-guest shared memory: no vhost/host-module time.
   EXPECT_EQ(bed.machine().host_account().get(sim::CpuCategory::kSys),

@@ -1,9 +1,13 @@
 // Unit tests for addresses, packets, wire format, routing and neighbours.
 #include <gtest/gtest.h>
 
+#include <type_traits>
+#include <utility>
+
 #include "net/address.hpp"
 #include "net/neighbor.hpp"
 #include "net/packet.hpp"
+#include "net/packet_pool.hpp"
 #include "net/route.hpp"
 #include "net/wire.hpp"
 #include "sim/rng.hpp"
@@ -137,6 +141,121 @@ TEST(Packet, InnerFrameCountsInSize) {
   outer.inner->packet.proto = L4Proto::kTcp;
   // outer IP(20)+UDP(8)+vxlan(8) + inner eth(14)+ip(20)+tcp(20)+100
   EXPECT_EQ(outer.ip_total_bytes(), 20u + 8u + 8u + 14u + 20u + 20u + 100u);
+}
+
+// A packet handoff is one block copy plus one pointer: the header base
+// must stay trivially copyable and the hot types must not regrow padding.
+static_assert(std::is_trivially_copyable_v<PacketHeader>);
+static_assert(sizeof(Packet) <= 80);
+static_assert(sizeof(EthernetFrame) <= 112);
+
+/// A header with every field away from its default.
+PacketHeader every_field_set() {
+  PacketHeader h;
+  h.packet_id = 0x0102030405060708ULL;
+  h.ct_id = 0x1112131415161718ULL;
+  h.sent_at = 123456789;
+  h.src_ip = Ipv4Address(10, 0, 0, 1);
+  h.dst_ip = Ipv4Address(10, 0, 0, 2);
+  h.tcp_seq = 1001;
+  h.tcp_ack = 2002;
+  h.tcp_window = 3003;
+  h.payload_bytes = 1448;
+  h.src_port = 40000;
+  h.dst_port = 80;
+  h.ip_id = 77;
+  h.frag_offset = 1480;
+  h.icmp_id = 5;
+  h.icmp_seq = 6;
+  h.proto = L4Proto::kTcp;
+  h.ttl = 17;
+  h.frag_more = true;
+  h.icmp_type = 11;
+  h.icmp_code = 1;
+  h.ct_reply = true;
+  h.tcp_flags = TcpFlags{.syn = true, .ack = true, .fin = true, .rst = true,
+                         .psh = true};
+  return h;
+}
+
+void expect_same_header(const PacketHeader& a, const PacketHeader& b) {
+  EXPECT_EQ(a.packet_id, b.packet_id);
+  EXPECT_EQ(a.ct_id, b.ct_id);
+  EXPECT_EQ(a.sent_at, b.sent_at);
+  EXPECT_EQ(a.src_ip, b.src_ip);
+  EXPECT_EQ(a.dst_ip, b.dst_ip);
+  EXPECT_EQ(a.tcp_seq, b.tcp_seq);
+  EXPECT_EQ(a.tcp_ack, b.tcp_ack);
+  EXPECT_EQ(a.tcp_window, b.tcp_window);
+  EXPECT_EQ(a.payload_bytes, b.payload_bytes);
+  EXPECT_EQ(a.src_port, b.src_port);
+  EXPECT_EQ(a.dst_port, b.dst_port);
+  EXPECT_EQ(a.ip_id, b.ip_id);
+  EXPECT_EQ(a.frag_offset, b.frag_offset);
+  EXPECT_EQ(a.icmp_id, b.icmp_id);
+  EXPECT_EQ(a.icmp_seq, b.icmp_seq);
+  EXPECT_EQ(a.proto, b.proto);
+  EXPECT_EQ(a.ttl, b.ttl);
+  EXPECT_EQ(a.frag_more, b.frag_more);
+  EXPECT_EQ(a.icmp_type, b.icmp_type);
+  EXPECT_EQ(a.icmp_code, b.icmp_code);
+  EXPECT_EQ(a.ct_reply, b.ct_reply);
+  EXPECT_EQ(a.tcp_flags, b.tcp_flags);
+}
+
+TEST(Packet, MoveKeepsHeaderAndTransfersInner) {
+  const PacketHeader want = every_field_set();
+  Packet src;
+  static_cast<PacketHeader&>(src) = want;
+  src.inner = std::make_unique<EthernetFrame>();
+  EthernetFrame* const inner = src.inner.get();
+
+  Packet moved(std::move(src));
+  expect_same_header(moved, want);
+  EXPECT_EQ(moved.inner.get(), inner);
+  EXPECT_EQ(src.inner, nullptr);  // NOLINT(bugprone-use-after-move)
+
+  Packet assigned;
+  assigned = std::move(moved);
+  expect_same_header(assigned, want);
+  EXPECT_EQ(assigned.inner.get(), inner);
+  EXPECT_EQ(moved.inner, nullptr);  // NOLINT(bugprone-use-after-move)
+}
+
+TEST(Frame, MoveCountsNoClone) {
+  EthernetFrame f;
+  f.packet.inner = std::make_unique<EthernetFrame>();
+  const std::uint64_t before = PacketPool::frames_cloned();
+  EthernetFrame moved(std::move(f));
+  EthernetFrame assigned;
+  assigned = std::move(moved);
+  EXPECT_EQ(PacketPool::frames_cloned(), before);
+  EXPECT_NE(assigned.packet.inner, nullptr);
+}
+
+TEST(Frame, CopyCountsOneCloneAndDeepCopiesInner) {
+  EthernetFrame plain;
+  plain.src = MacAddress::local_from_id(1);
+  plain.dst = MacAddress::local_from_id(2);
+  static_cast<PacketHeader&>(plain.packet) = every_field_set();
+  std::uint64_t before = PacketPool::frames_cloned();
+  const EthernetFrame plain_copy(plain);
+  EXPECT_EQ(PacketPool::frames_cloned() - before, 1u);
+  EXPECT_EQ(plain_copy.src, plain.src);
+  EXPECT_EQ(plain_copy.dst, plain.dst);
+  expect_same_header(plain_copy.packet, plain.packet);
+
+  // An encapsulating frame is two frames: the copy duplicates (and counts)
+  // the outer one and the inner one it owns.
+  EthernetFrame outer;
+  outer.packet.inner = std::make_unique<EthernetFrame>();
+  outer.packet.inner->packet.payload_bytes = 500;
+  before = PacketPool::frames_cloned();
+  const EthernetFrame outer_copy(outer);
+  EXPECT_EQ(PacketPool::frames_cloned() - before, 2u);
+  ASSERT_NE(outer_copy.packet.inner, nullptr);
+  EXPECT_NE(outer_copy.packet.inner.get(), outer.packet.inner.get());
+  EXPECT_EQ(outer_copy.packet.inner->packet.payload_bytes, 500u);
 }
 
 TEST(Frame, WireBytes) {

@@ -23,7 +23,7 @@ class SinkDevice : public Device {
       : Device(engine, std::move(name), kCosts) {
     add_port();
   }
-  void ingress(EthernetFrame frame, int port) override {
+  void ingress(EthernetFrame&& frame, int port) override {
     (void)port;
     frames.push_back(std::move(frame));
   }
@@ -73,7 +73,7 @@ struct BridgeFixture : ::testing::Test {
   }
 
   /// Injects a frame into the bridge as if `from` transmitted it.
-  void inject_from(SinkDevice& from, EthernetFrame frame) {
+  void inject_from(SinkDevice& from, EthernetFrame&& frame) {
     // Ports a,b,c are bridge ports 0,1,2 in SetUp order.
     const int port = &from == &a ? 0 : (&from == &b ? 1 : 2);
     bridge.ingress(std::move(frame), port);
@@ -159,7 +159,7 @@ TEST(Veth, StackSideDelivery) {
 
   // b() acts as an InterfaceBackend (moved into a pod namespace).
   std::vector<EthernetFrame> to_stack;
-  pair.b().set_rx([&](EthernetFrame f) { to_stack.push_back(std::move(f)); });
+  pair.b().set_rx([&](EthernetFrame&& f) { to_stack.push_back(std::move(f)); });
 
   pair.b().xmit(make_frame(3, 4));  // stack -> graph
   engine.run();
@@ -186,7 +186,7 @@ TEST(Tap, NetworkToFd) {
   sim::Engine engine;
   TapDevice tap(engine, "tap0", kCosts);
   std::vector<EthernetFrame> fd_frames;
-  tap.set_fd_handler([&](EthernetFrame f) { fd_frames.push_back(std::move(f)); });
+  tap.set_fd_handler([&](EthernetFrame&& f) { fd_frames.push_back(std::move(f)); });
 
   tap.ingress(make_frame(1, 2), 0);
   engine.run();

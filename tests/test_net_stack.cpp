@@ -413,7 +413,7 @@ TEST_F(TwoStacks, VxlanEncapsulatesAndDecapsulates) {
   vx_b.add_remote(mac_a, ip_a);
 
   std::vector<EthernetFrame> at_b;
-  mem_b.set_rx([&](EthernetFrame f) { at_b.push_back(std::move(f)); });
+  mem_b.set_rx([&](EthernetFrame&& f) { at_b.push_back(std::move(f)); });
 
   EthernetFrame inner;
   inner.src = mac_a;

@@ -101,7 +101,7 @@ struct OverlayRig {
       net::Device::connect(*node->mem, 0, *node->ov, node->ov->add_port());
       Node* raw = node.get();
       node->mem->set_rx(
-          [raw](net::EthernetFrame f) { raw->rx.push_back(std::move(f)); });
+          [raw](net::EthernetFrame&& f) { raw->rx.push_back(std::move(f)); });
       nodes.push_back(std::move(node));
     }
     if (wire_remotes) {
@@ -123,7 +123,7 @@ struct OverlayRig {
   void enable_echo(int at) {
     Node* n = nodes[std::size_t(at)].get();
     OverlayRig* rig = this;
-    n->mem->set_rx([rig, n](net::EthernetFrame f) {
+    n->mem->set_rx([rig, n](net::EthernetFrame&& f) {
       net::EthernetFrame r;
       r.src = f.dst;
       r.dst = f.src;

@@ -23,7 +23,7 @@ class LossyWire : public Device {
     add_port();  // 1: side b
   }
 
-  void ingress(EthernetFrame frame, int port) override {
+  void ingress(EthernetFrame&& frame, int port) override {
     if (rng_.chance(loss_)) {
       ++dropped;
       return;

@@ -158,8 +158,8 @@ TEST_F(VmmFixture, EmulatedVirtioCostsMoreThanVhost) {
 
   net::EthernetFrame f;
   f.packet.payload_bytes = 1000;
-  fast.xmit(f);
-  slow.xmit(f);
+  fast.xmit(net::EthernetFrame(f));
+  slow.xmit(std::move(f));
   engine.run();
   EXPECT_GT(w_slow.busy_time(), w_fast.busy_time());
 }
@@ -255,7 +255,7 @@ TEST_F(VmmFixture, HostloReflectsToAllQueuesIncludingSender) {
   f.src = machine->allocate_mac();
   f.dst = machine->allocate_mac();
   f.packet.payload_bytes = 64;
-  endpoints[0]->xmit(f);
+  endpoints[0]->xmit(std::move(f));
   engine.run();
 
   EXPECT_EQ(rx_counts[0], 1);  // the writer's own queue gets the echo
@@ -277,8 +277,8 @@ TEST_F(VmmFixture, HostloReflectCostScalesWithQueues) {
 
   net::EthernetFrame f;
   f.packet.payload_bytes = 100;
-  small.rx_from_queue(0, f);
-  big.rx_from_queue(0, f);
+  small.rx_from_queue(0, net::EthernetFrame(f));
+  big.rx_from_queue(0, std::move(f));
   engine.run();
   EXPECT_GT(worker8.busy_time(), worker2.busy_time());
 }
