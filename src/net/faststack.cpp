@@ -1,11 +1,8 @@
 #include "net/faststack.hpp"
 
-#include <algorithm>
 #include <utility>
 
-#include "net/pcap.hpp"
 #include "net/tcp.hpp"
-#include "net/trace.hpp"
 #include "sim/test_hooks.hpp"
 
 namespace nestv::net {
@@ -13,181 +10,33 @@ namespace nestv::net {
 FastPathStack::FastPathStack(sim::Engine& engine, std::string name,
                              const sim::CostModel& costs,
                              sim::SerialResource* softirq)
-    : StackBackend(engine, std::move(name), costs, softirq) {
-  // Interface 0 is always loopback, same shape as FullStack's so the
-  // consumer-facing ifindex space is identical across backends.
-  Interface lo;
-  lo.cfg.name = "lo";
-  lo.cfg.ip = Ipv4Address(127, 0, 0, 1);
-  lo.cfg.subnet = Ipv4Cidr(Ipv4Address(127, 0, 0, 0), 8);
-  lo.cfg.mtu = 65536;
-  lo.cfg.gso_bytes = costs.gso_loopback;
-  ifaces_.push_back(std::move(lo));
-  routes_.add_connected(ifaces_[0].cfg.subnet, 0);
-}
+    : StackBackend(engine, std::move(name), costs, softirq) {}
 
 FastPathStack::~FastPathStack() = default;
 
-int FastPathStack::add_interface(InterfaceBackend& backend,
-                                 const InterfaceConfig& cfg) {
-  const int ifindex = static_cast<int>(ifaces_.size());
-  Interface itf;
-  itf.cfg = cfg;
-  itf.backend = &backend;
-  ifaces_.push_back(std::move(itf));
-  backend.set_rx(
-      [this, ifindex](EthernetFrame&& f) { rx(ifindex, std::move(f)); });
-  backend.set_rx_train([this, ifindex](std::vector<EthernetFrame> fs) {
-    rx_train(ifindex, std::move(fs));
-  });
-  if (cfg.subnet.prefix_len() > 0) {
-    routes_.add_connected(cfg.subnet, ifindex);
-  }
-  return ifindex;
-}
-
-void FastPathStack::configure_loopback(std::uint32_t gso_bytes) {
-  ifaces_[0].cfg.gso_bytes = gso_bytes;
-}
-
-int FastPathStack::ifindex_of(const std::string& name) const {
-  for (std::size_t i = 0; i < ifaces_.size(); ++i) {
-    if (ifaces_[i].cfg.name == name) return static_cast<int>(i);
-  }
-  return -1;
-}
-
-Ipv4Address FastPathStack::iface_ip(int ifindex) const {
-  return ifaces_.at(static_cast<std::size_t>(ifindex)).cfg.ip;
-}
-
-MacAddress FastPathStack::iface_mac(int ifindex) const {
-  return ifaces_.at(static_cast<std::size_t>(ifindex)).cfg.mac;
-}
-
-void FastPathStack::set_iface_gso(int ifindex, std::uint32_t gso_bytes) {
-  ifaces_.at(static_cast<std::size_t>(ifindex)).cfg.gso_bytes = gso_bytes;
-}
-
-void FastPathStack::seed_neighbor(int ifindex, Ipv4Address ip,
-                                  MacAddress mac) {
-  ifaces_.at(static_cast<std::size_t>(ifindex))
-      .neighbors.insert(ip, mac, engine_->now());
-}
-
-void FastPathStack::detach_interface(int ifindex) {
-  Interface& itf = ifaces_.at(static_cast<std::size_t>(ifindex));
-  if (itf.backend != nullptr) itf.backend->set_rx({});
-  itf.backend = nullptr;
-  for (const auto& [next_hop, pkts] : itf.arp_pending) {
-    dropped_ += pkts.size();
-  }
-  itf.arp_pending.clear();
-}
-
-std::uint32_t FastPathStack::egress_gso(Ipv4Address dst) const {
-  if (is_local_address(dst)) return ifaces_[0].cfg.gso_bytes;
-  const auto r = routes_.lookup(dst);
-  if (!r || r->ifindex < 0 ||
-      static_cast<std::size_t>(r->ifindex) >= ifaces_.size()) {
-    return 1448;
-  }
-  return ifaces_[static_cast<std::size_t>(r->ifindex)].cfg.gso_bytes;
-}
-
-bool FastPathStack::is_local_address(Ipv4Address a) const {
-  if (a.is_loopback()) return true;
-  for (const Interface& i : ifaces_) {
-    if (!i.cfg.ip.is_unspecified() && i.cfg.ip == a) return true;
-  }
-  return false;
-}
-
 // ---- RX path ----------------------------------------------------------------
 
-void FastPathStack::rx(int ifindex, EthernetFrame&& frame) {
-  const Interface& itf = ifaces_.at(static_cast<std::size_t>(ifindex));
-  if (capture_ != nullptr) capture_->record(engine_->now(), frame);
-  // Same MAC filter as FullStack: not-for-us frames cost one lookup.
-  if (!frame.dst.is_broadcast() && !frame.dst.is_multicast() &&
-      frame.dst != itf.cfg.mac) {
-    softirq_run(costs_->arp_hit, [this] { ++dropped_; });
+void FastPathStack::l3_rx(int /*ifindex*/, Packet&& p, RxTrain* train) {
+  if (train != nullptr) {
+    // Pool the whole train into one softirq item: a k-frame burst costs
+    // one event carrying k fused per-packet charges.
+    train->carry += costs_->fastpath_rx_pkt;
+    train->batch.push_back(std::move(p));
     return;
   }
-  if (frame.ethertype == 0x0806) {
-    softirq_run(costs_->arp_hit, [this, ifindex, f = std::move(frame)] {
-      handle_arp(ifindex, f);
-    });
-    return;
-  }
-  if (frame.ethertype != 0x0800) {
-    ++dropped_;
-    return;
-  }
-  // The frame is this call's to consume: work on its packet in place.
-  Packet& p = frame.packet;
-  if (nestv_trace_enabled())
-    std::fprintf(stderr, "[%s t=%llu] fast-rx if=%d %s\n", name_.c_str(),
-                 (unsigned long long)engine_->now(), ifindex,
-                 p.describe().c_str());
-  p.ct_id = 0;
-  p.ct_reply = false;
   // The whole pipeline is one fixed charge; demux + L4 run inside it.
   softirq_run(costs_->fastpath_rx_pkt, [this, pkt = std::move(p)]() mutable {
     rx_demux(std::move(pkt));
   });
 }
 
-void FastPathStack::rx_train(int ifindex, std::vector<EthernetFrame> frames) {
-  if (frames.size() == 1) {
-    rx(ifindex, std::move(frames[0]));
-    return;
-  }
-  const Interface& itf = ifaces_.at(static_cast<std::size_t>(ifindex));
-  // Pool the whole train into one softirq item: a k-frame burst costs one
-  // event carrying k fused per-packet charges, and the k demux passes run
-  // back-to-back inside it (the fast path's NAPI analogue).
-  sim::Duration carry = 0;
-  std::vector<Packet> batch;
-  const auto flush = [this, &carry, &batch] {
-    if (carry == 0 && batch.empty()) return;
-    softirq_run(carry, [this, b = std::move(batch)]() mutable {
-      for (Packet& p : b) rx_demux(std::move(p));
-    });
-    carry = 0;
-    batch.clear();
-  };
-  for (EthernetFrame& frame : frames) {
-    if (capture_ != nullptr) capture_->record(engine_->now(), frame);
-    if (!frame.dst.is_broadcast() && !frame.dst.is_multicast() &&
-        frame.dst != itf.cfg.mac) {
-      carry += costs_->arp_hit;
-      ++dropped_;
-      continue;
-    }
-    if (frame.ethertype == 0x0806) {
-      // ARP keeps FIFO position relative to the batch around it.
-      flush();
-      softirq_run(costs_->arp_hit, [this, ifindex, f = std::move(frame)] {
-        handle_arp(ifindex, f);
-      });
-      continue;
-    }
-    if (frame.ethertype != 0x0800) {
-      ++dropped_;
-      continue;
-    }
-    Packet& p = frame.packet;
-    if (nestv_trace_enabled())
-      std::fprintf(stderr, "[%s t=%llu] fast-rx if=%d %s\n", name_.c_str(),
-                   (unsigned long long)engine_->now(), ifindex,
-                   p.describe().c_str());
-    p.ct_id = 0;
-    p.ct_reply = false;
-    carry += costs_->fastpath_rx_pkt;
-    batch.push_back(std::move(p));
-  }
-  flush();
+void FastPathStack::flush_train(RxTrain& train) {
+  if (train.carry == 0 && train.batch.empty()) return;
+  softirq_run(train.carry, [this, b = std::move(train.batch)]() mutable {
+    for (Packet& p : b) rx_demux(std::move(p));
+  });
+  train.carry = 0;
+  train.batch.clear();
 }
 
 void FastPathStack::rx_demux(Packet&& p) {
@@ -278,7 +127,7 @@ void FastPathStack::emit_packet(Packet&& p) {
 }
 
 void FastPathStack::arp_resolve_and_send(Packet&& p, int out_ifindex) {
-  Interface& itf = ifaces_.at(static_cast<std::size_t>(out_ifindex));
+  const Interface& itf = iface(out_ifindex);
   if (itf.backend == nullptr) {
     // Hot-unplugged: the netdev is gone.
     ++dropped_;
@@ -294,64 +143,8 @@ void FastPathStack::arp_resolve_and_send(Packet&& p, int out_ifindex) {
     ++dropped_;
     return;
   }
-  const auto route = routes_.lookup(p.dst_ip);
-  const Ipv4Address next_hop = route ? route->next_hop : p.dst_ip;
-
-  const auto mac = itf.neighbors.lookup(next_hop, engine_->now());
-  if (!mac) {
-    auto& pending = itf.arp_pending[next_hop];
-    pending.push_back(std::move(p));
-    if (pending.size() == 1) send_arp_request(out_ifindex, next_hop);
-    return;
-  }
-  EthernetFrame f;
-  f.src = itf.cfg.mac;
-  f.dst = *mac;
-  f.ethertype = 0x0800;
-  f.packet = std::move(p);
-  if (capture_ != nullptr) capture_->record(engine_->now(), f);
-  itf.backend->xmit(std::move(f));
-}
-
-void FastPathStack::send_arp_request(int ifindex, Ipv4Address target) {
-  Interface& itf = ifaces_.at(static_cast<std::size_t>(ifindex));
-  ++arp_tx_;
-  EthernetFrame f;
-  f.src = itf.cfg.mac;
-  f.dst = MacAddress::broadcast();
-  f.ethertype = 0x0806;
-  f.arp_is_request = true;
-  f.arp_sender_ip = itf.cfg.ip;
-  f.arp_sender_mac = itf.cfg.mac;
-  f.arp_target_ip = target;
-  itf.backend->xmit(std::move(f));
-}
-
-void FastPathStack::handle_arp(int ifindex, const EthernetFrame& frame) {
-  Interface& itf = ifaces_.at(static_cast<std::size_t>(ifindex));
-  itf.neighbors.insert(frame.arp_sender_ip, frame.arp_sender_mac,
-                       engine_->now());
-
-  if (frame.arp_is_request && frame.arp_target_ip == itf.cfg.ip &&
-      itf.backend != nullptr) {
-    EthernetFrame reply;
-    reply.src = itf.cfg.mac;
-    reply.dst = frame.arp_sender_mac;
-    reply.ethertype = 0x0806;
-    reply.arp_is_request = false;
-    reply.arp_sender_ip = itf.cfg.ip;
-    reply.arp_sender_mac = itf.cfg.mac;
-    reply.arp_target_ip = frame.arp_sender_ip;
-    itf.backend->xmit(std::move(reply));
-  }
-
-  const auto pending = itf.arp_pending.find(frame.arp_sender_ip);
-  if (pending != itf.arp_pending.end()) {
-    std::vector<Packet> pkts = std::move(pending->second);
-    itf.arp_pending.erase(pending);
-    for (Packet& p : pkts) {
-      arp_resolve_and_send(std::move(p), ifindex);
-    }
+  if (const auto mac = resolve_or_park(p, out_ifindex)) {
+    xmit_packet(out_ifindex, *mac, std::move(p));
   }
 }
 

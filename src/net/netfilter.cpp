@@ -16,8 +16,8 @@ const char* to_string(Hook h) {
   return "?";
 }
 
-bool RuleMatch::matches(const Packet& p, const std::string& in,
-                        const std::string& out) const {
+bool RuleMatch::matches(const Packet& p, std::string_view in,
+                        std::string_view out) const {
   if (proto && *proto != p.proto) return false;
   if (src && !src->contains(p.src_ip)) return false;
   if (dst && !dst->contains(p.dst_ip)) return false;
@@ -75,8 +75,8 @@ std::uint16_t Netfilter::allocate_port(L4Proto proto, Ipv4Address ip) {
 }
 
 Netfilter::HookResult Netfilter::run_hook(Hook h, Packet& p,
-                                          const std::string& in,
-                                          const std::string& out,
+                                          std::string_view in,
+                                          std::string_view out,
                                           sim::TimePoint now) {
   ++traversals_;
   const bool is_nat_hook = h == Hook::kPrerouting || h == Hook::kOutput ||
@@ -100,8 +100,8 @@ Netfilter::HookResult Netfilter::run_hook(Hook h, Packet& p,
 }
 
 Netfilter::HookResult Netfilter::run_nat(Hook h, Packet& p,
-                                         const std::string& in,
-                                         const std::string& out,
+                                         std::string_view in,
+                                         std::string_view out,
                                          sim::TimePoint now) {
   HookResult r;
   ConnTable::Ref ref = conntrack_lookup(p);
@@ -228,8 +228,8 @@ Netfilter::HookResult Netfilter::run_nat(Hook h, Packet& p,
 }
 
 Netfilter::HookResult Netfilter::run_filter(Hook h, Packet& p,
-                                            const std::string& in,
-                                            const std::string& out) {
+                                            std::string_view in,
+                                            std::string_view out) {
   HookResult r;
   const Chain& chain = filter_[static_cast<std::size_t>(h)];
   for (const Rule& rule : chain.rules) {

@@ -14,6 +14,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "net/conn_table.hpp"
@@ -46,8 +47,8 @@ struct RuleMatch {
   std::string in_iface;   ///< empty = any
   std::string out_iface;  ///< empty = any
 
-  [[nodiscard]] bool matches(const Packet& p, const std::string& in,
-                             const std::string& out) const;
+  [[nodiscard]] bool matches(const Packet& p, std::string_view in,
+                             std::string_view out) const;
 };
 
 enum class TargetKind : std::uint8_t {
@@ -129,8 +130,8 @@ class Netfilter {
 
   /// Runs one hook over `p` (possibly rewriting it).  `now` drives
   /// conntrack timestamps; `in`/`out` are interface names for matching.
-  HookResult run_hook(Hook h, Packet& p, const std::string& in,
-                      const std::string& out, sim::TimePoint now);
+  HookResult run_hook(Hook h, Packet& p, std::string_view in,
+                      std::string_view out, sim::TimePoint now);
 
   /// Total hooks every forwarded packet traverses in this stack; used by
   /// tests asserting the nested path runs 2x the hook count.
@@ -162,10 +163,10 @@ class Netfilter {
   }
 
  private:
-  HookResult run_nat(Hook h, Packet& p, const std::string& in,
-                     const std::string& out, sim::TimePoint now);
-  HookResult run_filter(Hook h, Packet& p, const std::string& in,
-                        const std::string& out);
+  HookResult run_nat(Hook h, Packet& p, std::string_view in,
+                     std::string_view out, sim::TimePoint now);
+  HookResult run_filter(Hook h, Packet& p, std::string_view in,
+                        std::string_view out);
 
   /// Applies any recorded translation for this packet's direction.
   /// Returns the connection on a conntrack hit (null Ref on a miss).

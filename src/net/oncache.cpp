@@ -206,7 +206,7 @@ void OnCache::serve_egress(const EgressPath& path, EthernetFrame&& inner) {
   outer.inner = std::make_unique<EthernetFrame>(std::move(inner));
   outer.packet_id = stack_->next_packet_id();
   outer.sent_at = stack_->engine().now();
-  stack_->oncache_xmit(path.out_ifindex, std::move(f));
+  stack_->xmit_frame(path.out_ifindex, std::move(f));
 }
 
 const IngressPath* OnCache::match_ingress(const Packet& outer) {

@@ -1,12 +1,12 @@
 #include "net/stack.hpp"
 
 #include "net/oncache.hpp"
-#include "net/pcap.hpp"
 #include "net/trace.hpp"
 #include "sim/test_hooks.hpp"
 
 #include <algorithm>
 #include <cassert>
+#include <string_view>
 #include <utility>
 
 #include "net/tcp.hpp"
@@ -39,189 +39,43 @@ FullStack::FullStack(sim::Engine& engine, std::string name,
       oncache_->invalidate_rule_match(m, name_of);
     }
   });
-  // Interface 0 is always loopback.
-  Interface lo;
-  lo.cfg.name = "lo";
-  lo.cfg.ip = Ipv4Address(127, 0, 0, 1);
-  lo.cfg.subnet = Ipv4Cidr(Ipv4Address(127, 0, 0, 0), 8);
-  lo.cfg.mtu = 65536;
-  lo.cfg.gso_bytes = costs.gso_loopback;
-  ifaces_.push_back(std::move(lo));
-  routes_.add_connected(ifaces_[0].cfg.subnet, 0);
 }
 
 FullStack::~FullStack() = default;
 
-int FullStack::add_interface(InterfaceBackend& backend,
-                             const InterfaceConfig& cfg) {
-  const int ifindex = static_cast<int>(ifaces_.size());
-  Interface itf;
-  itf.cfg = cfg;
-  itf.backend = &backend;
-  ifaces_.push_back(std::move(itf));
-  backend.set_rx(
-      [this, ifindex](EthernetFrame&& f) { rx(ifindex, std::move(f)); });
-  backend.set_rx_train([this, ifindex](std::vector<EthernetFrame> fs) {
-    rx_train(ifindex, std::move(fs));
-  });
-  if (cfg.subnet.prefix_len() > 0) {
-    routes_.add_connected(cfg.subnet, ifindex);
-  }
-  return ifindex;
-}
-
-void FullStack::configure_loopback(std::uint32_t gso_bytes) {
-  ifaces_[0].cfg.gso_bytes = gso_bytes;
-}
-
-int FullStack::ifindex_of(const std::string& name) const {
-  for (std::size_t i = 0; i < ifaces_.size(); ++i) {
-    if (ifaces_[i].cfg.name == name) return static_cast<int>(i);
-  }
-  return -1;
-}
-
-Ipv4Address FullStack::iface_ip(int ifindex) const {
-  return ifaces_.at(static_cast<std::size_t>(ifindex)).cfg.ip;
-}
-
-MacAddress FullStack::iface_mac(int ifindex) const {
-  return ifaces_.at(static_cast<std::size_t>(ifindex)).cfg.mac;
-}
-
-void FullStack::set_iface_gso(int ifindex, std::uint32_t gso_bytes) {
-  ifaces_.at(static_cast<std::size_t>(ifindex)).cfg.gso_bytes = gso_bytes;
-}
-
-void FullStack::seed_neighbor(int ifindex, Ipv4Address ip,
-                              MacAddress mac) {
-  ifaces_.at(static_cast<std::size_t>(ifindex))
-      .neighbors.insert(ip, mac, engine_->now());
-}
-
-std::uint32_t FullStack::egress_gso(Ipv4Address dst) const {
-  if (is_local_address(dst)) return ifaces_[0].cfg.gso_bytes;
-  const auto r = routes_.lookup(dst);
-  if (!r || r->ifindex < 0 ||
-      static_cast<std::size_t>(r->ifindex) >= ifaces_.size()) {
-    return 1448;
-  }
-  return ifaces_[static_cast<std::size_t>(r->ifindex)].cfg.gso_bytes;
-}
-
-bool FullStack::is_local_address(Ipv4Address a) const {
-  if (a.is_loopback()) return true;
-  for (const Interface& i : ifaces_) {
-    if (!i.cfg.ip.is_unspecified() && i.cfg.ip == a) return true;
-  }
-  return false;
-}
-
 // ---- RX path ----------------------------------------------------------------
 
-void FullStack::rx(int ifindex, EthernetFrame&& frame) {
-  const Interface& itf = ifaces_.at(static_cast<std::size_t>(ifindex));
-  if (capture_ != nullptr) capture_->record(engine_->now(), frame);
-  // MAC filter: frames not for us (Hostlo's reflect-to-all-queues shows
-  // every endpoint every frame) cost a lookup and are dropped here.
-  if (!frame.dst.is_broadcast() && !frame.dst.is_multicast() &&
-      frame.dst != itf.cfg.mac) {
-    softirq_run(costs_->arp_hit, [this] { ++dropped_; });
-    return;
-  }
-  if (frame.ethertype == 0x0806) {
-    softirq_run(costs_->arp_hit,
-                [this, ifindex, f = std::move(frame)] { handle_arp(ifindex, f); });
-    return;
-  }
-  if (frame.ethertype != 0x0800) {
-    ++dropped_;
-    return;
-  }
-  // The frame is this call's to consume: work on its packet in place.
-  Packet& p = frame.packet;
-  if (nestv_trace_enabled())
-    std::fprintf(stderr, "[%s t=%llu] rx if=%d %s\n", name_.c_str(),
-                 (unsigned long long)engine_->now(), ifindex, p.describe().c_str());
-  p.ct_id = 0;  // conntrack attachment is per-stack
-  p.ct_reply = false;
+void FullStack::l3_rx(int ifindex, Packet&& p, RxTrain* train) {
   if (gro_enabled_ && forced_resegment_ == 0 && p.proto == L4Proto::kTcp &&
       p.payload_bytes > 0 && !p.inner) {
-    gro_rx(ifindex, std::move(p));
+    gro_rx(ifindex, std::move(p), train);
     return;
   }
+  // Non-GRO packets run their protocol work in submission order behind
+  // whatever charges the train pooled so far.
+  if (train != nullptr) flush_train(*train);
   ip_rx(ifindex, std::move(p));
 }
 
-void FullStack::rx_train(int ifindex, std::vector<EthernetFrame> frames) {
-  if (frames.size() == 1) {
-    rx(ifindex, std::move(frames[0]));
-    return;
+void FullStack::flush_train(RxTrain& train) {
+  if (train.carry != 0) {
+    softirq_run(train.carry, [] {});
+    train.carry = 0;
   }
-  const Interface& itf = ifaces_.at(static_cast<std::size_t>(ifindex));
-  sim::Duration carry = 0;  // pooled per-frame softirq charges
-  const auto flush_carry = [this, &carry] {
-    if (carry != 0) {
-      softirq_run(carry, [] {});
-      carry = 0;
-    }
-  };
-  for (EthernetFrame& frame : frames) {
-    if (capture_ != nullptr) capture_->record(engine_->now(), frame);
-    if (!frame.dst.is_broadcast() && !frame.dst.is_multicast() &&
-        frame.dst != itf.cfg.mac) {
-      // MAC filter miss: the lookup cost pools with the other per-frame
-      // charges of this train.
-      carry += costs_->arp_hit;
-      ++dropped_;
-      continue;
-    }
-    if (frame.ethertype == 0x0806) {
-      flush_carry();
-      softirq_run(costs_->arp_hit, [this, ifindex, f = std::move(frame)] {
-        handle_arp(ifindex, f);
-      });
-      continue;
-    }
-    if (frame.ethertype != 0x0800) {
-      ++dropped_;
-      continue;
-    }
-    Packet& p = frame.packet;
-    if (nestv_trace_enabled())
-      std::fprintf(stderr, "[%s t=%llu] rx if=%d %s\n", name_.c_str(),
-                   (unsigned long long)engine_->now(), ifindex,
-                   p.describe().c_str());
-    p.ct_id = 0;
-    p.ct_reply = false;
-    if (gro_enabled_ && forced_resegment_ == 0 && p.proto == L4Proto::kTcp &&
-        p.payload_bytes > 0 && !p.inner) {
-      gro_rx(ifindex, std::move(p), &carry);
-      continue;
-    }
-    // Non-GRO packets run their protocol work in submission order behind
-    // whatever charges pooled so far.
-    flush_carry();
-    ip_rx(ifindex, std::move(p));
-  }
-  flush_carry();
 }
 
-void FullStack::gro_rx(int ifindex, Packet&& p, sim::Duration* carry) {
+void FullStack::gro_rx(int ifindex, Packet&& p, RxTrain* train) {
   const ConnKey key{p.src_ip, p.dst_ip, p.src_port, p.dst_port, p.proto};
   auto it = gro_flows_.find(key);
-  // In train mode the per-frame merge charges pool in *carry; they must be
-  // submitted before any flush so the flushed packet's protocol work queues
-  // behind them on softirq, same order as per-frame delivery.
-  const auto flush_carry = [this, carry] {
-    if (carry != nullptr && *carry != 0) {
-      softirq_run(*carry, [] {});
-      *carry = 0;
-    }
+  // In train mode the per-frame merge charges pool in the train; they must
+  // be submitted before any flush so the flushed packet's protocol work
+  // queues behind them on softirq, same order as per-frame delivery.
+  const auto flush_carry = [this, train] {
+    if (train != nullptr) flush_train(*train);
   };
-  const auto charge_frame = [this, carry] {
-    if (carry != nullptr) {
-      *carry += costs_->gro_pkt;
+  const auto charge_frame = [this, train] {
+    if (train != nullptr) {
+      train->carry += costs_->gro_pkt;
     } else {
       softirq_run(costs_->gro_pkt, [] {});
     }
@@ -354,8 +208,7 @@ void FullStack::ip_rx_one(int ifindex, Packet&& p) {
   std::optional<flowcache::FlowKey> fkey;
   if (flowcache_enabled_) fkey = flowcache::FlowKey::of(p, ifindex);
 
-  const std::string& in_name =
-      ifaces_.at(static_cast<std::size_t>(ifindex)).cfg.name;
+  const std::string& in_name = iface(ifindex).cfg.name;
 
   sim::Duration cost = costs_->route_lookup;
   const auto pre = nf_.run_hook(Hook::kPrerouting, p, in_name, "",
@@ -547,12 +400,9 @@ void FullStack::emit_packet(Packet&& p) {
 void FullStack::egress(Packet&& p, int out_ifindex, int in_ifindex,
                        std::optional<flowcache::FlowKey> record) {
   if (nestv_trace_enabled()) std::fprintf(stderr, "[%s t=%llu] egress if=%d %s\n", name_.c_str(), (unsigned long long)engine_->now(), out_ifindex, p.describe().c_str());
-  static const std::string kNoIface;
-  const std::string& in_iface =
-      in_ifindex < 0
-          ? kNoIface
-          : ifaces_[static_cast<std::size_t>(in_ifindex)].cfg.name;
-  const Interface& itf = ifaces_.at(static_cast<std::size_t>(out_ifindex));
+  const std::string_view in_iface =
+      in_ifindex < 0 ? std::string_view{} : iface(in_ifindex).cfg.name;
+  const Interface& itf = iface(out_ifindex);
   const auto post = nf_.run_hook(Hook::kPostrouting, p, in_iface,
                                  itf.cfg.name, engine_->now());
   if (post.verdict == Verdict::kDrop) {
@@ -568,7 +418,7 @@ void FullStack::egress(Packet&& p, int out_ifindex, int in_ifindex,
 
 void FullStack::arp_resolve_and_send(
     Packet&& p, int out_ifindex, std::optional<flowcache::FlowKey> record) {
-  Interface& itf = ifaces_.at(static_cast<std::size_t>(out_ifindex));
+  const Interface& itf = iface(out_ifindex);
   if (itf.backend == nullptr) {
     // Hot-unplugged (QMP device_del): the netdev is gone, traffic routed
     // at it is dropped like a carrier-less link.
@@ -597,20 +447,8 @@ void FullStack::arp_resolve_and_send(
     }
     return;
   }
-  if (nestv_trace_enabled())
-    std::fprintf(stderr, "[%s t=%llu] arp_resolve %s\n", name_.c_str(),
-                 (unsigned long long)engine_->now(), p.describe().c_str());
-  const auto route = routes_.lookup(p.dst_ip);
-  const Ipv4Address next_hop = route ? route->next_hop : p.dst_ip;
-
-  const auto mac = itf.neighbors.lookup(next_hop, engine_->now());
-  if (!mac) {
-    auto& pending = itf.arp_pending[next_hop];
-    pending.push_back(std::move(p));
-    // One outstanding request per next-hop; later packets just park.
-    if (pending.size() == 1) send_arp_request(out_ifindex, next_hop);
-    return;
-  }
+  const auto mac = resolve_or_park(p, out_ifindex);
+  if (!mac) return;
   if (record) {
     // Whole path resolved (hooks run, route picked, L2 next hop known):
     // memoize it so the flow's next packets skip all of the above.
@@ -622,59 +460,8 @@ void FullStack::arp_resolve_and_send(
     // overlay record opened at the bridge and promoted by the VTEP.
     oncache_->complete_egress(p, out_ifindex, *mac);
   }
-  EthernetFrame f;
-  f.src = itf.cfg.mac;
-  f.dst = *mac;
-  f.ethertype = 0x0800;
-  f.packet = std::move(p);
-  if (capture_ != nullptr) capture_->record(engine_->now(), f);
-  itf.backend->xmit(std::move(f));
+  xmit_packet(out_ifindex, *mac, std::move(p));
 }
-
-void FullStack::send_arp_request(int ifindex, Ipv4Address target) {
-  Interface& itf = ifaces_.at(static_cast<std::size_t>(ifindex));
-  ++arp_tx_;
-  EthernetFrame f;
-  f.src = itf.cfg.mac;
-  f.dst = MacAddress::broadcast();
-  f.ethertype = 0x0806;
-  f.arp_is_request = true;
-  f.arp_sender_ip = itf.cfg.ip;
-  f.arp_sender_mac = itf.cfg.mac;
-  f.arp_target_ip = target;
-  itf.backend->xmit(std::move(f));
-}
-
-void FullStack::handle_arp(int ifindex, const EthernetFrame& frame) {
-  Interface& itf = ifaces_.at(static_cast<std::size_t>(ifindex));
-  // Learn the sender either way.
-  itf.neighbors.insert(frame.arp_sender_ip, frame.arp_sender_mac,
-                       engine_->now());
-
-  if (frame.arp_is_request && frame.arp_target_ip == itf.cfg.ip) {
-    EthernetFrame reply;
-    reply.src = itf.cfg.mac;
-    reply.dst = frame.arp_sender_mac;
-    reply.ethertype = 0x0806;
-    reply.arp_is_request = false;
-    reply.arp_sender_ip = itf.cfg.ip;
-    reply.arp_sender_mac = itf.cfg.mac;
-    reply.arp_target_ip = frame.arp_sender_ip;
-    itf.backend->xmit(std::move(reply));
-  }
-
-  // Flush packets parked on this resolution.
-  const auto pending = itf.arp_pending.find(frame.arp_sender_ip);
-  if (pending != itf.arp_pending.end()) {
-    std::vector<Packet> pkts = std::move(pending->second);
-    itf.arp_pending.erase(pending);
-    for (Packet& p : pkts) {
-      arp_resolve_and_send(std::move(p), ifindex);
-    }
-  }
-}
-
-void FullStack::loopback_deliver(Packet&& p) { deliver_local(std::move(p), 0); }
 
 // ---- flow cache ------------------------------------------------------------
 
@@ -737,18 +524,7 @@ bool FullStack::flowcache_rx(int ifindex, Packet& p) {
       }
       softirq_run(cost, [this, pkt = std::move(p), out = path->out_ifindex,
                          mac = path->next_hop_mac]() mutable {
-        Interface& itf = ifaces_.at(static_cast<std::size_t>(out));
-        if (itf.backend == nullptr) {  // unplugged while queued
-          ++dropped_;
-          return;
-        }
-        EthernetFrame f;
-        f.src = itf.cfg.mac;
-        f.dst = mac;
-        f.ethertype = 0x0800;
-        f.packet = std::move(pkt);
-        if (capture_ != nullptr) capture_->record(engine_->now(), f);
-        itf.backend->xmit(std::move(f));
+        xmit_packet(out, mac, std::move(pkt));
       });
       return true;
     }
@@ -787,17 +563,6 @@ bool FullStack::oncache_rx(int ifindex, Packet& p) {
   return true;
 }
 
-void FullStack::oncache_xmit(int out_ifindex, EthernetFrame&& frame) {
-  Interface& itf = ifaces_.at(static_cast<std::size_t>(out_ifindex));
-  if (itf.backend == nullptr) {
-    // Hot-unplugged while the fused event was in flight.
-    ++dropped_;
-    return;
-  }
-  if (capture_ != nullptr) capture_->record(engine_->now(), frame);
-  itf.backend->xmit(std::move(frame));
-}
-
 void FullStack::record_flow(const flowcache::FlowKey& key, const Packet& p,
                             flowcache::CachedPath::Action action,
                             int out_ifindex, MacAddress next_hop_mac) {
@@ -833,14 +598,7 @@ std::size_t FullStack::conntrack_gc(sim::Duration idle_timeout) {
 }
 
 void FullStack::detach_interface(int ifindex) {
-  Interface& itf = ifaces_.at(static_cast<std::size_t>(ifindex));
-  if (itf.backend != nullptr) itf.backend->set_rx({});
-  itf.backend = nullptr;
-  // Parked packets die with the netdev.
-  for (const auto& [next_hop, pkts] : itf.arp_pending) {
-    dropped_ += pkts.size();
-  }
-  itf.arp_pending.clear();
+  StackBackend::detach_interface(ifindex);
   // Targeted flush: only flows entering or leaving this ifindex.
   fcache_.invalidate_ifindex(ifindex);
   // Overlay entries leaving the dead NIC (and, if it was the VTEP uplink,

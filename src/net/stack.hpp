@@ -1,12 +1,12 @@
 // FullStack: one network namespace's full-featured L3/L4 machinery — the
 // default StackBackend (see net/stack_backend.hpp for the seam).
 //
-// Owns interfaces (each bound to an InterfaceBackend), a routing table, ARP
-// neighbour caches, a Netfilter instance, GRO/reassembly state and the
-// per-flow fast-path cache; the UDP/TCP socket tables live in the shared
-// StackBackend base.  A stack instance stands for: the host kernel's init
-// netns, a guest kernel's init netns, or a pod's network namespace — all of
-// which appear in the paper's fig 1 datapaths.
+// Owns a Netfilter instance, GRO/reassembly state and the per-flow
+// fast-path cache; the interface table, routing table, ARP and the UDP/TCP
+// socket tables live in the shared StackBackend base.  A stack instance
+// stands for: the host kernel's init netns, a guest kernel's init netns, or
+// a pod's network namespace — all of which appear in the paper's fig 1
+// datapaths.
 //
 // CPU model: protocol work (IP processing, netfilter hooks, TCP/UDP segment
 // handling) runs on the stack's softirq SerialResource, charged as kSoft —
@@ -24,12 +24,9 @@
 #include <unordered_map>
 #include <vector>
 
-#include "net/backend.hpp"
 #include "net/flowcache/flowcache.hpp"
-#include "net/neighbor.hpp"
 #include "net/netfilter.hpp"
 #include "net/packet.hpp"
-#include "net/route.hpp"
 #include "net/stack_backend.hpp"
 #include "sim/cost_model.hpp"
 #include "sim/cpu.hpp"
@@ -50,12 +47,6 @@ class FullStack : public StackBackend {
   }
 
   // ---- configuration ----------------------------------------------------
-  int add_interface(InterfaceBackend& backend,
-                    const InterfaceConfig& cfg) override;
-
-  void configure_loopback(std::uint32_t gso_bytes) override;
-
-  [[nodiscard]] RoutingTable& routes() override { return routes_; }
   [[nodiscard]] bool has_netfilter() const override { return true; }
   [[nodiscard]] Netfilter& netfilter() override { return nf_; }
   [[nodiscard]] const Netfilter& netfilter() const override { return nf_; }
@@ -106,9 +97,8 @@ class FullStack : public StackBackend {
   /// conntrack backing).  Returns the number of reaped connections.
   std::size_t conntrack_gc(sim::Duration idle_timeout) override;
 
-  /// NIC hot-unplug (QMP device_del): detaches the backend so the ifindex
-  /// goes dead — queued/parked packets drop — and flushes exactly the
-  /// cached flows entering or leaving it.
+  /// NIC hot-unplug: StackBackend's detach, plus a flush of exactly the
+  /// cached flows (flowcache and oncache) entering or leaving the ifindex.
   void detach_interface(int ifindex) override;
 
   /// GRO: in-order TCP segments of one flow arriving in a burst coalesce
@@ -117,15 +107,6 @@ class FullStack : public StackBackend {
   /// disabled automatically on stacks with forced resegmentation (the
   /// br_netfilter path re-linearizes anyway).
   void set_gro(bool on) override { gro_enabled_ = on; }
-
-  [[nodiscard]] int ifindex_of(const std::string& name) const override;
-  [[nodiscard]] Ipv4Address iface_ip(int ifindex) const override;
-  [[nodiscard]] MacAddress iface_mac(int ifindex) const override;
-  void set_iface_gso(int ifindex, std::uint32_t gso_bytes) override;
-  void seed_neighbor(int ifindex, Ipv4Address ip, MacAddress mac) override;
-  [[nodiscard]] std::size_t interface_count() const override {
-    return ifaces_.size();
-  }
 
   void ping(Ipv4Address dst, std::uint32_t payload_bytes,
             std::function<void(sim::Duration rtt)> done) override;
@@ -140,35 +121,19 @@ class FullStack : public StackBackend {
   }
 
   // ---- datapath ---------------------------------------------------------
-  void rx(int ifindex, EthernetFrame&& frame) override;
-  void rx_train(int ifindex, std::vector<EthernetFrame> frames) override;
-
   /// L4 -> network: runs OUTPUT/POSTROUTING, routes and transmits.
   void emit_packet(Packet&& p) override;
 
-  /// Oncache egress fast path's last hop: transmit a fully resolved frame
-  /// (capture tap included, like arp_resolve_and_send's tail).
-  void oncache_xmit(int out_ifindex, EthernetFrame&& frame) override;
-
-  [[nodiscard]] std::uint32_t egress_gso(Ipv4Address dst) const override;
-
  private:
-  struct Interface {
-    InterfaceConfig cfg;
-    InterfaceBackend* backend = nullptr;  ///< null for loopback
-    NeighborTable neighbors;
-    /// Packets parked awaiting ARP resolution, keyed by next-hop.
-    std::unordered_map<Ipv4Address, std::vector<Packet>> arp_pending;
-  };
-
-  [[nodiscard]] bool is_local_address(Ipv4Address a) const;
-
-  void handle_arp(int ifindex, const EthernetFrame& frame);
-  /// `carry`, when non-null (train delivery), accumulates this frame's
-  /// gro_pkt charge instead of submitting a softirq item per frame; any
-  /// accumulated charge is flushed before a merge triggers gro_flush so
-  /// softirq occupancy keeps the per-frame FIFO order.
-  void gro_rx(int ifindex, Packet&& p, sim::Duration* carry = nullptr);
+  /// GRO-eligible TCP goes to gro_rx, everything else to ip_rx (behind the
+  /// train's pooled charges).
+  void l3_rx(int ifindex, Packet&& p, RxTrain* train) override;
+  void flush_train(RxTrain& train) override;
+  /// `train`, when non-null (train delivery), pools this frame's gro_pkt
+  /// charge instead of submitting a softirq item per frame; the pooled
+  /// charge is flushed before a merge triggers gro_flush so softirq
+  /// occupancy keeps the per-frame FIFO order.
+  void gro_rx(int ifindex, Packet&& p, RxTrain* train);
   void gro_flush(const ConnKey& key);
   void ip_rx(int ifindex, Packet&& p);
   void ip_rx_one(int ifindex, Packet&& p);
@@ -180,9 +145,13 @@ class FullStack : public StackBackend {
   /// locally generated traffic (POSTROUTING then sees no input device).
   void egress(Packet&& p, int out_ifindex, int in_ifindex,
               std::optional<flowcache::FlowKey> record = std::nullopt);
-  void arp_resolve_and_send(
-      Packet&& p, int out_ifindex,
-      std::optional<flowcache::FlowKey> record = std::nullopt);
+  /// ip_fragment for oversized UDP, then the shared neighbour resolution.
+  /// `record` memoizes the path when the next hop resolves at once.
+  void arp_resolve_and_send(Packet&& p, int out_ifindex) override {
+    arp_resolve_and_send(std::move(p), out_ifindex, std::nullopt);
+  }
+  void arp_resolve_and_send(Packet&& p, int out_ifindex,
+                            std::optional<flowcache::FlowKey> record);
   /// Serves one packet from a cached path; returns false on a miss or a
   /// stale entry (caller falls through to the slow path).
   bool flowcache_rx(int ifindex, Packet& p);
@@ -193,8 +162,6 @@ class FullStack : public StackBackend {
   void record_flow(const flowcache::FlowKey& key, const Packet& p,
                    flowcache::CachedPath::Action action, int out_ifindex,
                    MacAddress next_hop_mac);
-  void send_arp_request(int ifindex, Ipv4Address target);
-  void loopback_deliver(Packet&& p);
 
   void deliver_icmp(const Packet& p);
   /// Emits an ICMP error (type/code) about `offender` back to its source.
@@ -205,8 +172,6 @@ class FullStack : public StackBackend {
 
   void reassemble_rx(int ifindex, Packet&& p);
 
-  std::vector<Interface> ifaces_;  ///< [0] is loopback
-  RoutingTable routes_;
   Netfilter nf_;
   flowcache::FlowCache fcache_;
   bool flowcache_enabled_ = false;

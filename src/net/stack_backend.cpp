@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "net/faststack.hpp"
+#include "net/pcap.hpp"
 #include "net/stack.hpp"
 #include "net/tcp.hpp"
 #include "net/trace.hpp"
@@ -70,9 +71,215 @@ StackBackend::StackBackend(sim::Engine& engine, std::string name,
     : engine_(&engine),
       name_(std::move(name)),
       costs_(&costs),
-      softirq_(softirq) {}
+      softirq_(softirq) {
+  // Interface 0 is always loopback.
+  Interface lo;
+  lo.cfg.name = "lo";
+  lo.cfg.ip = Ipv4Address(127, 0, 0, 1);
+  lo.cfg.subnet = Ipv4Cidr(Ipv4Address(127, 0, 0, 0), 8);
+  lo.cfg.mtu = 65536;
+  lo.cfg.gso_bytes = costs.gso_loopback;
+  ifaces_.push_back(std::move(lo));
+  routes_.add_connected(ifaces_[0].cfg.subnet, 0);
+}
 
 StackBackend::~StackBackend() = default;
+
+// ---- interface table ---------------------------------------------------------
+
+int StackBackend::add_interface(InterfaceBackend& backend,
+                                const InterfaceConfig& cfg) {
+  const int ifindex = static_cast<int>(ifaces_.size());
+  Interface itf;
+  itf.cfg = cfg;
+  itf.backend = &backend;
+  ifaces_.push_back(std::move(itf));
+  backend.set_rx(
+      [this, ifindex](EthernetFrame&& f) { rx(ifindex, std::move(f)); });
+  backend.set_rx_train([this, ifindex](std::vector<EthernetFrame> fs) {
+    rx_train(ifindex, std::move(fs));
+  });
+  if (cfg.subnet.prefix_len() > 0) {
+    routes_.add_connected(cfg.subnet, ifindex);
+  }
+  return ifindex;
+}
+
+int StackBackend::ifindex_of(const std::string& name) const {
+  for (std::size_t i = 0; i < ifaces_.size(); ++i) {
+    if (ifaces_[i].cfg.name == name) return static_cast<int>(i);
+  }
+  return -1;
+}
+
+void StackBackend::detach_interface(int ifindex) {
+  Interface& itf = iface(ifindex);
+  if (itf.backend != nullptr) itf.backend->set_rx({});
+  itf.backend = nullptr;
+  // Parked packets die with the netdev.
+  for (const auto& [next_hop, pkts] : itf.arp_pending) {
+    dropped_ += pkts.size();
+  }
+  itf.arp_pending.clear();
+}
+
+std::uint32_t StackBackend::egress_gso(Ipv4Address dst) const {
+  if (is_local_address(dst)) return ifaces_[0].cfg.gso_bytes;
+  const auto r = routes_.lookup(dst);
+  if (!r || r->ifindex < 0 ||
+      static_cast<std::size_t>(r->ifindex) >= ifaces_.size()) {
+    return 1448;
+  }
+  return ifaces_[static_cast<std::size_t>(r->ifindex)].cfg.gso_bytes;
+}
+
+// ---- L2 receive ----------------------------------------------------------------
+
+void StackBackend::rx(int ifindex, EthernetFrame&& frame) {
+  if (l2_rx(ifindex, iface(ifindex), frame, nullptr)) {
+    l3_rx(ifindex, std::move(frame.packet), nullptr);
+  }
+}
+
+void StackBackend::rx_train(int ifindex, std::vector<EthernetFrame> frames) {
+  if (frames.size() == 1) {
+    rx(ifindex, std::move(frames[0]));
+    return;
+  }
+  const Interface& itf = iface(ifindex);
+  RxTrain train;
+  for (EthernetFrame& frame : frames) {
+    if (l2_rx(ifindex, itf, frame, &train)) {
+      l3_rx(ifindex, std::move(frame.packet), &train);
+    }
+  }
+  flush_train(train);
+}
+
+bool StackBackend::l2_rx(int ifindex, const Interface& itf,
+                         EthernetFrame& frame, RxTrain* train) {
+  if (capture_ != nullptr) capture_->record(engine_->now(), frame);
+  // MAC filter: frames not for us (Hostlo's reflect-to-all-queues shows
+  // every endpoint every frame) cost a lookup and are dropped here.  In a
+  // train the lookup pools with the other per-frame charges.
+  if (!frame.dst.is_broadcast() && !frame.dst.is_multicast() &&
+      frame.dst != itf.cfg.mac) {
+    if (train != nullptr) {
+      train->carry += costs_->arp_hit;
+      ++dropped_;
+    } else {
+      softirq_run(costs_->arp_hit, [this] { ++dropped_; });
+    }
+    return false;
+  }
+  if (frame.ethertype == 0x0806) {
+    // ARP keeps its FIFO position relative to the train around it.
+    if (train != nullptr) flush_train(*train);
+    softirq_run(costs_->arp_hit, [this, ifindex, f = std::move(frame)] {
+      handle_arp(ifindex, f);
+    });
+    return false;
+  }
+  if (frame.ethertype != 0x0800) {
+    ++dropped_;
+    return false;
+  }
+  Packet& p = frame.packet;
+  if (nestv_trace_enabled())
+    std::fprintf(stderr, "[%s t=%llu] rx if=%d %s\n", name_.c_str(),
+                 (unsigned long long)engine_->now(), ifindex,
+                 p.describe().c_str());
+  p.ct_id = 0;  // conntrack attachment is per-stack
+  p.ct_reply = false;
+  return true;
+}
+
+// ---- ARP and L2 transmit -------------------------------------------------------
+
+std::optional<MacAddress> StackBackend::resolve_or_park(Packet& p,
+                                                        int out_ifindex) {
+  if (nestv_trace_enabled())
+    std::fprintf(stderr, "[%s t=%llu] arp_resolve %s\n", name_.c_str(),
+                 (unsigned long long)engine_->now(), p.describe().c_str());
+  Interface& itf = iface(out_ifindex);
+  const auto route = routes_.lookup(p.dst_ip);
+  const Ipv4Address next_hop = route ? route->next_hop : p.dst_ip;
+  const auto mac = itf.neighbors.lookup(next_hop, engine_->now());
+  if (!mac) {
+    auto& pending = itf.arp_pending[next_hop];
+    pending.push_back(std::move(p));
+    // One outstanding request per next-hop; later packets just park.
+    if (pending.size() == 1) send_arp_request(out_ifindex, next_hop);
+  }
+  return mac;
+}
+
+void StackBackend::xmit_packet(int out_ifindex, MacAddress dst, Packet&& p) {
+  EthernetFrame f;
+  f.src = iface(out_ifindex).cfg.mac;
+  f.dst = dst;
+  f.ethertype = 0x0800;
+  f.packet = std::move(p);
+  xmit_frame(out_ifindex, std::move(f));
+}
+
+void StackBackend::xmit_frame(int out_ifindex, EthernetFrame&& frame) {
+  Interface& itf = iface(out_ifindex);
+  if (itf.backend == nullptr) {
+    // Hot-unplugged (QMP device_del) while the packet was in flight: the
+    // netdev is gone, like a carrier-less link.
+    ++dropped_;
+    return;
+  }
+  if (capture_ != nullptr) capture_->record(engine_->now(), frame);
+  itf.backend->xmit(std::move(frame));
+}
+
+void StackBackend::send_arp_request(int ifindex, Ipv4Address target) {
+  Interface& itf = iface(ifindex);
+  ++arp_tx_;
+  EthernetFrame f;
+  f.src = itf.cfg.mac;
+  f.dst = MacAddress::broadcast();
+  f.ethertype = 0x0806;
+  f.arp_is_request = true;
+  f.arp_sender_ip = itf.cfg.ip;
+  f.arp_sender_mac = itf.cfg.mac;
+  f.arp_target_ip = target;
+  itf.backend->xmit(std::move(f));
+}
+
+void StackBackend::handle_arp(int ifindex, const EthernetFrame& frame) {
+  Interface& itf = iface(ifindex);
+  // Learn the sender either way.
+  itf.neighbors.insert(frame.arp_sender_ip, frame.arp_sender_mac,
+                       engine_->now());
+
+  // A request that outlived a hot-unplug finds no netdev to answer on.
+  if (frame.arp_is_request && frame.arp_target_ip == itf.cfg.ip &&
+      itf.backend != nullptr) {
+    EthernetFrame reply;
+    reply.src = itf.cfg.mac;
+    reply.dst = frame.arp_sender_mac;
+    reply.ethertype = 0x0806;
+    reply.arp_is_request = false;
+    reply.arp_sender_ip = itf.cfg.ip;
+    reply.arp_sender_mac = itf.cfg.mac;
+    reply.arp_target_ip = frame.arp_sender_ip;
+    itf.backend->xmit(std::move(reply));
+  }
+
+  // Flush packets parked on this resolution through the stack's own send
+  // path (FullStack fragments, FastPathStack drops what exceeds the MTU).
+  const auto pending = itf.arp_pending.find(frame.arp_sender_ip);
+  if (pending != itf.arp_pending.end()) {
+    std::vector<Packet> pkts = std::move(pending->second);
+    itf.arp_pending.erase(pending);
+    for (Packet& p : pkts) {
+      arp_resolve_and_send(std::move(p), ifindex);
+    }
+  }
+}
 
 // ---- optional-capability defaults ------------------------------------------
 

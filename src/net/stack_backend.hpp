@@ -12,10 +12,19 @@
 //   * StackService   — FullStack instances hosted on one shared host-side
 //                      worker for N guests (net/stack_service.hpp).
 //
-// The socket layer (UDP/TCP tables, syscall charging, L4 demux, TCP
-// connection ownership) lives here as shared non-virtual code: every
-// backend speaks exactly the same application ABI, and the differential
-// fuzz oracle leans on that to compare backends end-to-end.
+// Two layers live here as shared non-virtual code, so every backend
+// behaves identically on them by construction:
+//   * the link layer — the interface table (loopback at ifindex 0), the
+//     routing table, ARP (requests, replies, neighbour learning, packets
+//     parked per next hop), the L2 receive head (capture, MAC filter,
+//     ARP dispatch, non-IPv4 drop) and the resolved-frame transmit;
+//   * the socket layer — UDP/TCP tables, syscall charging, L4 demux and
+//     TCP connection ownership: every backend speaks exactly the same
+//     application ABI, and the differential fuzz oracle leans on that to
+//     compare backends end-to-end.
+// A backend supplies only its L3/L4 pipeline: l3_rx and flush_train behind
+// the L2 head, emit_packet, and arp_resolve_and_send (its MTU policy in
+// front of the shared neighbour resolution).
 //
 // CPU model (unchanged from the pre-seam stack): protocol work runs on the
 // backend's softirq SerialResource charged as kSoft; socket syscall work is
@@ -26,12 +35,16 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <tuple>
 #include <unordered_map>
 #include <vector>
 
+#include "net/backend.hpp"
+#include "net/neighbor.hpp"
 #include "net/packet.hpp"
+#include "net/route.hpp"
 #include "sim/cost_model.hpp"
 #include "sim/cpu.hpp"
 #include "sim/engine.hpp"
@@ -40,10 +53,8 @@
 
 namespace nestv::net {
 
-class InterfaceBackend;
 class Netfilter;
 class PcapWriter;
-class RoutingTable;
 class TcpConnection;
 class StackBackend;
 namespace flowcache {
@@ -133,27 +144,38 @@ class StackBackend {
   [[nodiscard]] virtual StackKind kind() const = 0;
 
   // ---- configuration ----------------------------------------------------
-  /// Attaches an interface; the backend installs itself as the device's RX
+  /// Attaches an interface; the stack installs itself as the device's RX
   /// handler and adds a connected route for the subnet.  Returns ifindex.
-  virtual int add_interface(InterfaceBackend& backend,
-                            const InterfaceConfig& cfg) = 0;
+  int add_interface(InterfaceBackend& backend, const InterfaceConfig& cfg);
 
   /// The loopback interface (always ifindex 0); gso defaults to the cost
   /// model's gso_loopback.
-  virtual void configure_loopback(std::uint32_t gso_bytes) = 0;
+  void configure_loopback(std::uint32_t gso_bytes) {
+    ifaces_[0].cfg.gso_bytes = gso_bytes;
+  }
 
-  [[nodiscard]] virtual RoutingTable& routes() = 0;
-  [[nodiscard]] virtual int ifindex_of(const std::string& name) const = 0;
-  [[nodiscard]] virtual Ipv4Address iface_ip(int ifindex) const = 0;
-  [[nodiscard]] virtual MacAddress iface_mac(int ifindex) const = 0;
-  virtual void set_iface_gso(int ifindex, std::uint32_t gso_bytes) = 0;
+  [[nodiscard]] RoutingTable& routes() { return routes_; }
+  [[nodiscard]] int ifindex_of(const std::string& name) const;
+  [[nodiscard]] Ipv4Address iface_ip(int ifindex) const {
+    return iface(ifindex).cfg.ip;
+  }
+  [[nodiscard]] MacAddress iface_mac(int ifindex) const {
+    return iface(ifindex).cfg.mac;
+  }
+  void set_iface_gso(int ifindex, std::uint32_t gso_bytes) {
+    iface(ifindex).cfg.gso_bytes = gso_bytes;
+  }
   /// Pre-seeds an ARP entry (tests & deterministic startup).
-  virtual void seed_neighbor(int ifindex, Ipv4Address ip, MacAddress mac) = 0;
+  void seed_neighbor(int ifindex, Ipv4Address ip, MacAddress mac) {
+    iface(ifindex).neighbors.insert(ip, mac, engine_->now());
+  }
   /// NIC hot-unplug (QMP device_del): detaches the backend so the ifindex
-  /// goes dead — queued/parked packets drop.
-  virtual void detach_interface(int ifindex) = 0;
+  /// goes dead — packets parked on ARP drop here, queued ones when they
+  /// reach the dead device.  Virtual so a stack can also flush the caches
+  /// keyed on the ifindex; an override must delegate here.
+  virtual void detach_interface(int ifindex);
   /// Interfaces ever attached, loopback included (dead ifindexes count).
-  [[nodiscard]] virtual std::size_t interface_count() const = 0;
+  [[nodiscard]] std::size_t interface_count() const { return ifaces_.size(); }
 
   // ---- optional capabilities --------------------------------------------
   // Backends without a feature throw std::logic_error from accessors whose
@@ -184,14 +206,11 @@ class StackBackend {
   [[nodiscard]] oncache::OnCache* attached_oncache() const {
     return oncache_;
   }
-  /// Transmits a fully resolved frame out `ifindex` — the last hop of the
-  /// oncache egress fast path (hooks, route and ARP already memoized).
-  /// The base backend has no interface table; it drops.
-  virtual void oncache_xmit(int out_ifindex, EthernetFrame&& frame) {
-    (void)out_ifindex;
-    (void)frame;
-    ++dropped_;
-  }
+  /// Transmits a fully resolved frame out `out_ifindex` (capture tap
+  /// included) — the last hop of every egress path: the ARP-resolved one,
+  /// the flowcache and the oncache fast paths.  A frame for an unplugged
+  /// interface drops.
+  void xmit_frame(int out_ifindex, EthernetFrame&& frame);
 
   /// Conntrack garbage collection; returns reaped connections (0 when the
   /// backend keeps no conntrack).
@@ -272,13 +291,15 @@ class StackBackend {
                         std::uint16_t dst_port, sim::SerialResource* app);
 
   // ---- datapath (called by backends / internals) -------------------------
-  virtual void rx(int ifindex, EthernetFrame&& frame) = 0;
+  /// One frame from interface `ifindex`: the shared L2 head (capture, MAC
+  /// filter, ARP, non-IPv4 drop), then the backend's l3_rx.
+  void rx(int ifindex, EthernetFrame&& frame);
 
   /// Burst delivery from a batched backend (one virtio NAPI poll cycle):
   /// the frames traverse the same RX pipeline as rx(), but their per-frame
   /// softirq charges coalesce into shared softirq items, so a k-frame
   /// train costs O(1) events instead of O(k).
-  virtual void rx_train(int ifindex, std::vector<EthernetFrame> frames) = 0;
+  void rx_train(int ifindex, std::vector<EthernetFrame> frames);
 
   /// L4 -> network: routes and transmits (plus OUTPUT/POSTROUTING on
   /// backends that run netfilter).  All processing charges softirq.
@@ -289,7 +310,7 @@ class StackBackend {
 
   /// Effective TCP segment size towards `dst`: loopback GSO for local
   /// destinations, else the egress interface's GSO size.
-  [[nodiscard]] virtual std::uint32_t egress_gso(Ipv4Address dst) const = 0;
+  [[nodiscard]] std::uint32_t egress_gso(Ipv4Address dst) const;
 
   // ---- statistics ---------------------------------------------------------
   [[nodiscard]] std::uint64_t packets_forwarded() const { return forwarded_; }
@@ -304,6 +325,63 @@ class StackBackend {
 
  protected:
   friend class TcpConnection;
+
+  struct Interface {
+    InterfaceConfig cfg;
+    InterfaceBackend* backend = nullptr;  ///< null for loopback / unplugged
+    NeighborTable neighbors;
+    /// Packets parked awaiting ARP resolution, keyed by next-hop.
+    std::unordered_map<Ipv4Address, std::vector<Packet>> arp_pending;
+  };
+
+  /// Pooled softirq work of one rx_train burst: per-frame charges add to
+  /// `carry`, and flush_train submits them as one softirq item.  `batch`
+  /// holds packets whose protocol pass runs inside that item (the fast
+  /// path's NAPI analogue; FullStack leaves it empty).
+  struct RxTrain {
+    sim::Duration carry = 0;
+    std::vector<Packet> batch;
+  };
+
+  [[nodiscard]] Interface& iface(int ifindex) {
+    return ifaces_.at(static_cast<std::size_t>(ifindex));
+  }
+  [[nodiscard]] const Interface& iface(int ifindex) const {
+    return ifaces_.at(static_cast<std::size_t>(ifindex));
+  }
+  /// Inline: every stack asks this per packet on its RX and TX paths.
+  [[nodiscard]] bool is_local_address(Ipv4Address a) const {
+    if (a.is_loopback()) return true;
+    for (const Interface& i : ifaces_) {
+      if (!i.cfg.ip.is_unspecified() && i.cfg.ip == a) return true;
+    }
+    return false;
+  }
+
+  /// The backend's IPv4 ingress behind the shared L2 head (`p.ct_id` is
+  /// already reset).  `train` is null for a single frame (rx); in rx_train
+  /// the backend may pool its per-packet charge there instead of
+  /// submitting a softirq item, flushing it (flush_train) before any work
+  /// that must queue behind the pooled charges.
+  virtual void l3_rx(int ifindex, Packet&& p, RxTrain* train) = 0;
+  /// Submits `train`'s pooled charges (and batch) and resets it; runs
+  /// before an ARP frame of the train and at its end.
+  virtual void flush_train(RxTrain& train) = 0;
+
+  /// The backend's L2 output for a routed packet: its MTU policy, then
+  /// resolve_or_park + xmit_packet.  Packets parked on ARP re-enter here
+  /// when the reply arrives.
+  virtual void arp_resolve_and_send(Packet&& p, int out_ifindex) = 0;
+  /// The next-hop MAC for `p` out `out_ifindex`.  On a neighbour miss `p`
+  /// is parked (moved from) until the ARP reply — one outstanding request
+  /// per next hop — and the result is empty.
+  std::optional<MacAddress> resolve_or_park(Packet& p, int out_ifindex);
+  /// Frames `p` to `dst` and hands it to xmit_frame.
+  void xmit_packet(int out_ifindex, MacAddress dst, Packet&& p);
+  void send_arp_request(int ifindex, Ipv4Address target);
+  /// Learns the sender, answers a request for our address, and re-sends
+  /// the packets parked on the sender through arp_resolve_and_send.
+  void handle_arp(int ifindex, const EthernetFrame& frame);
 
   struct UdpBinding {
     sim::SerialResource* app = nullptr;
@@ -374,6 +452,9 @@ class StackBackend {
   std::map<TcpKey, std::unique_ptr<TcpConnection>> tcp_conns_;
   std::uint16_t next_ephemeral_port_ = 40000;
 
+  std::vector<Interface> ifaces_;  ///< [0] is loopback
+  RoutingTable routes_;
+
   PcapWriter* capture_ = nullptr;
   oncache::OnCache* oncache_ = nullptr;
 
@@ -384,6 +465,14 @@ class StackBackend {
   std::uint64_t next_packet_id_ = 1;
   std::uint16_t next_ip_id_ = 1;
   std::uint64_t reassembly_failures_ = 0;
+
+ private:
+  /// The L2 head shared by rx and rx_train: capture, MAC filter (charged
+  /// arp_hit; pooled into `train` when non-null), ARP dispatch, non-IPv4
+  /// drop and the per-stack conntrack reset.  True when `frame.packet` is
+  /// an IPv4 packet for l3_rx.
+  bool l2_rx(int ifindex, const Interface& itf, EthernetFrame& frame,
+             RxTrain* train);
 };
 
 /// Constructs a self-contained backend (kFull or kFastPath).  kService

@@ -73,6 +73,18 @@ TEST_P(DeployModes, RoundTripOnTestbed) {
   ASSERT_TRUE(pod->ready());
   const Endpoint server = pod->server();
   EXPECT_EQ(server.service_ip, expected_service_ip(*pod));
+  if (GetParam() == PodMode::kBrFusion) {
+    // The fused pod NIC hangs off the host bridge, so it is addressed
+    // from the host bridge's subnet.
+    EXPECT_TRUE(
+        bed.machine().config().bridge_subnet.contains(server.service_ip));
+  }
+  if (GetParam() == PodMode::kHostlo) {
+    // One pod split across two VMs, each fragment on a Hostlo endpoint.
+    EXPECT_NE(pod->srv_vm, pod->cli_vm);
+    EXPECT_GE(pod->srv_frag->stack->ifindex_of("hostlo0"), 1);
+    EXPECT_GE(pod->cli_frag->stack->ifindex_of("hostlo0"), 1);
+  }
   const Endpoint client =
       pod->is_pair() ? pod->client() : bed.host_client("client");
   const auto replied = start_round_trip(client, server);

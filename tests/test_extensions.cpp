@@ -1,10 +1,9 @@
-// Tests for the extension subsystems: ICMP, pcap capture, MemPipe,
-// VirtFS shared volumes and the Orchestrator control loop.
+// Tests for the extension subsystems: ICMP, pcap capture, MemPipe and
+// VirtFS shared volumes.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 
-#include "core/orchestrator.hpp"
 #include "net/pcap.hpp"
 #include "net/wire.hpp"
 #include "scenario/testbed.hpp"
@@ -313,114 +312,6 @@ TEST_F(VirtfsFixture, ListByPrefix) {
   bed.run_for(sim::milliseconds(10));
   EXPECT_EQ(store.list("a/").size(), 2u);
   EXPECT_EQ(store.file_count(), 3u);
-}
-
-// ---- Orchestrator -----------------------------------------------------------------
-
-struct OrchestratorFixture : ::testing::Test {
-  scenario::Testbed bed{scenario::TestbedConfig{.seed = 7}};
-  vmm::Vm& vm1 = bed.create_vm_with_uplink("vm1");
-  vmm::Vm& vm2 = bed.create_vm_with_uplink("vm2");
-  core::Orchestrator orch{bed.vmm(), bed.nat_cni(), bed.brfusion_cni(),
-                          bed.hostlo_cni()};
-
-  core::Orchestrator::Deployment deploy_and_wait(
-      core::Orchestrator::PodRequest request) {
-    core::Orchestrator::Deployment result;
-    bool done = false;
-    orch.deploy(std::move(request), [&](core::Orchestrator::Deployment d) {
-      result = std::move(d);
-      done = true;
-    });
-    bed.run_until_ready([&done] { return done; });
-    return result;
-  }
-};
-
-TEST_F(OrchestratorFixture, WholePodPlacementOnOneNode) {
-  orch.register_node(vm1);
-  orch.register_node(vm2);
-  core::Orchestrator::PodRequest req;
-  req.name = "web";
-  req.containers = {{"app", 1.0, 0.5, {}, {8080}},
-                    {"sidecar", 0.5, 0.25, {}, {}}};
-  req.network = core::NetworkMode::kBridgeNat;
-  const auto d = deploy_and_wait(std::move(req));
-  ASSERT_TRUE(d.ok) << d.reason;
-  ASSERT_EQ(d.placement.size(), 2u);
-  EXPECT_EQ(d.placement[0], d.placement[1]);  // whole pod, one node
-  EXPECT_FALSE(d.pod->is_cross_vm());
-}
-
-TEST_F(OrchestratorFixture, MostRequestedGroupsPods) {
-  orch.register_node(vm1);
-  orch.register_node(vm2);
-  core::Orchestrator::PodRequest a;
-  a.name = "a";
-  a.containers = {{"c", 1.0, 0.5, {}, {}}};
-  core::Orchestrator::PodRequest b;
-  b.name = "b";
-  b.containers = {{"c", 1.0, 0.5, {}, {}}};
-  const auto da = deploy_and_wait(std::move(a));
-  const auto db = deploy_and_wait(std::move(b));
-  ASSERT_TRUE(da.ok && db.ok);
-  EXPECT_EQ(da.placement[0], db.placement[0]);  // grouped, not spread
-}
-
-TEST_F(OrchestratorFixture, OversizedPodRejectedWithoutHostlo) {
-  orch.register_node(vm1);
-  orch.register_node(vm2);
-  core::Orchestrator::PodRequest req;
-  req.name = "big";
-  req.containers = {{"c1", 3.0, 2.0, {}, {}}, {"c2", 3.0, 2.0, {}, {}}};
-  req.network = core::NetworkMode::kBrFusion;  // whole-pod required
-  const auto d = deploy_and_wait(std::move(req));
-  EXPECT_FALSE(d.ok);
-  // Failed deployments must not leak reservations.
-  EXPECT_DOUBLE_EQ(orch.free_capacity(vm1).cpu, 5.0);
-}
-
-TEST_F(OrchestratorFixture, HostloEnablesCrossVmSplit) {
-  orch.register_node(vm1);
-  orch.register_node(vm2);
-  core::Orchestrator::PodRequest req;
-  req.name = "big";
-  req.containers = {{"c1", 3.0, 2.0, {}, {}}, {"c2", 3.0, 2.0, {}, {}}};
-  req.network = core::NetworkMode::kHostlo;
-  const auto d = deploy_and_wait(std::move(req));
-  ASSERT_TRUE(d.ok) << d.reason;
-  EXPECT_NE(d.placement[0], d.placement[1]);
-  EXPECT_TRUE(d.pod->is_cross_vm());
-  // The pod's fragments carry Hostlo endpoints.
-  for (auto& frag : d.pod->fragments()) {
-    EXPECT_GE(frag->stack->ifindex_of("hostlo0"), 1);
-  }
-}
-
-TEST_F(OrchestratorFixture, CapacityAccounting) {
-  orch.register_node(vm1);
-  core::Orchestrator::PodRequest req;
-  req.name = "p";
-  req.containers = {{"c", 2.0, 1.0, {}, {}}};
-  const auto d = deploy_and_wait(std::move(req));
-  ASSERT_TRUE(d.ok);
-  EXPECT_DOUBLE_EQ(orch.free_capacity(vm1).cpu, 3.0);
-  EXPECT_DOUBLE_EQ(orch.free_capacity(vm1).memory_gb, 3.0);
-}
-
-TEST_F(OrchestratorFixture, BrFusionPodGetsHostBridgeAddress) {
-  orch.register_node(vm1);
-  core::Orchestrator::PodRequest req;
-  req.name = "fused";
-  req.containers = {{"c", 1.0, 0.5, {}, {}}};
-  req.network = core::NetworkMode::kBrFusion;
-  const auto d = deploy_and_wait(std::move(req));
-  ASSERT_TRUE(d.ok);
-  auto& frag = *d.pod->fragments()[0];
-  const int eth0 = frag.stack->ifindex_of("eth0");
-  ASSERT_GE(eth0, 1);
-  EXPECT_TRUE(bed.machine().config().bridge_subnet.contains(
-      frag.stack->iface_ip(eth0)));
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
-// Integration tests for NetworkStack: ARP, UDP, TCP, loopback, forwarding,
-// GRO, forced resegmentation and the VXLAN device.
+// Integration tests for NetworkStack: UDP, TCP, loopback, forwarding, GRO,
+// forced resegmentation and the VXLAN device.  ARP is the shared link
+// layer's, tested once per backend in test_stack_backend.cpp.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -35,45 +36,6 @@ struct TwoStacks : ::testing::Test {
                                subnet, 1500, 1448});
   }
 };
-
-// ---- ARP ------------------------------------------------------------------------
-
-TEST_F(TwoStacks, ArpResolvesOnDemand) {
-  int got = 0;
-  bob.udp_bind(7, nullptr, [&](const NetworkStack::UdpDelivery&) { ++got; });
-  alice.udp_send(ip_a, 1000, ip_b, 7, 64, nullptr);
-  engine.run();
-  EXPECT_EQ(got, 1);
-  EXPECT_EQ(alice.arp_requests_sent(), 1u);
-
-  // Second send: neighbour cached, no new ARP.
-  alice.udp_send(ip_a, 1000, ip_b, 7, 64, nullptr);
-  engine.run();
-  EXPECT_EQ(got, 2);
-  EXPECT_EQ(alice.arp_requests_sent(), 1u);
-}
-
-TEST_F(TwoStacks, PacketsParkedDuringArpAreFlushed) {
-  int got = 0;
-  bob.udp_bind(7, nullptr, [&](const NetworkStack::UdpDelivery&) { ++got; });
-  for (int i = 0; i < 5; ++i) {
-    alice.udp_send(ip_a, 1000, ip_b, 7, 64, nullptr);
-  }
-  engine.run();
-  EXPECT_EQ(got, 5);
-  EXPECT_EQ(alice.arp_requests_sent(), 1u);  // one resolution for the burst
-}
-
-TEST_F(TwoStacks, SeededNeighborSkipsArp) {
-  alice.seed_neighbor(alice.ifindex_of("eth0"), ip_b,
-                      MacAddress::local_from_id(2));
-  int got = 0;
-  bob.udp_bind(7, nullptr, [&](const NetworkStack::UdpDelivery&) { ++got; });
-  alice.udp_send(ip_a, 1000, ip_b, 7, 64, nullptr);
-  engine.run();
-  EXPECT_EQ(got, 1);
-  EXPECT_EQ(alice.arp_requests_sent(), 0u);
-}
 
 // ---- UDP -------------------------------------------------------------------------
 

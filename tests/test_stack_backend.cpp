@@ -1,7 +1,8 @@
-// StackBackend seam tests: the fast-path backend end-to-end, capability
-// gating, backend lifecycle (attach/detach mid-run), the stack-as-a-service
-// mode (guests-per-worker=1 equivalence, attribution, teardown with
-// in-flight trains) and the SBO callback migration of TcpSocket.
+// StackBackend seam tests: the shared link layer once per backend, the
+// fast-path backend end-to-end, capability gating, backend lifecycle
+// (attach/detach mid-run), the stack-as-a-service mode (guests-per-worker=1
+// equivalence, attribution, teardown with in-flight trains) and the SBO
+// callback migration of TcpSocket.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -22,15 +23,16 @@ namespace {
 const sim::CostModel kCosts{};
 const Ipv4Cidr kSubnet(Ipv4Address(10, 0, 0, 0), 24);
 
-/// Two fast-path stacks on one bridge, mirroring the FullStack TwoStacks
-/// fixture: 10.0.0.1 (alice) and 10.0.0.2 (bob).
-struct FastPathTwoStacks : ::testing::Test {
+/// Two stacks of one backend type on one bridge: 10.0.0.1 (alice) and
+/// 10.0.0.2 (bob).
+template <typename Stack>
+struct TwoStacksOf : ::testing::Test {
   sim::Engine engine;
   Bridge bridge{engine, "br", kCosts};
   PortBackend port_a{engine, "pa", kCosts};
   PortBackend port_b{engine, "pb", kCosts};
-  FastPathStack alice{engine, "alice", kCosts, nullptr};
-  FastPathStack bob{engine, "bob", kCosts, nullptr};
+  Stack alice{engine, "alice", kCosts, nullptr};
+  Stack bob{engine, "bob", kCosts, nullptr};
   Ipv4Address ip_a{10, 0, 0, 1};
   Ipv4Address ip_b{10, 0, 0, 2};
 
@@ -44,24 +46,116 @@ struct FastPathTwoStacks : ::testing::Test {
   }
 };
 
-TEST_F(FastPathTwoStacks, UdpRoundTripWithArp) {
+// ---- link layer, once per backend ------------------------------------------
+//
+// The interface table, ARP and the L2 receive head are StackBackend's
+// shared code; these cases pin that every backend runs them the same way.
+
+template <typename Stack>
+struct LinkLayer : TwoStacksOf<Stack> {};
+
+using Backends = ::testing::Types<FullStack, FastPathStack>;
+TYPED_TEST_SUITE(LinkLayer, Backends);
+
+TYPED_TEST(LinkLayer, ArpResolvesOnDemand) {
+  int got = 0;
+  this->bob.udp_bind(7, nullptr,
+                     [&](const StackBackend::UdpDelivery&) { ++got; });
+  this->alice.udp_send(this->ip_a, 1000, this->ip_b, 7, 64, nullptr);
+  this->engine.run();
+  EXPECT_EQ(got, 1);
+  EXPECT_EQ(this->alice.arp_requests_sent(), 1u);
+
+  // Second send: neighbour cached, no new ARP.
+  this->alice.udp_send(this->ip_a, 1000, this->ip_b, 7, 64, nullptr);
+  this->engine.run();
+  EXPECT_EQ(got, 2);
+  EXPECT_EQ(this->alice.arp_requests_sent(), 1u);
+}
+
+TYPED_TEST(LinkLayer, PacketsParkedDuringArpAreFlushed) {
+  int got = 0;
+  this->bob.udp_bind(7, nullptr,
+                     [&](const StackBackend::UdpDelivery&) { ++got; });
+  for (int i = 0; i < 5; ++i) {
+    this->alice.udp_send(this->ip_a, 1000, this->ip_b, 7, 64, nullptr);
+  }
+  this->engine.run();
+  EXPECT_EQ(got, 5);
+  EXPECT_EQ(this->alice.arp_requests_sent(), 1u);  // one for the burst
+}
+
+TYPED_TEST(LinkLayer, SeededNeighborSkipsArp) {
+  this->alice.seed_neighbor(this->alice.ifindex_of("eth0"), this->ip_b,
+                            MacAddress::local_from_id(2));
+  int got = 0;
+  this->bob.udp_bind(7, nullptr,
+                     [&](const StackBackend::UdpDelivery&) { ++got; });
+  this->alice.udp_send(this->ip_a, 1000, this->ip_b, 7, 64, nullptr);
+  this->engine.run();
+  EXPECT_EQ(got, 1);
+  EXPECT_EQ(this->alice.arp_requests_sent(), 0u);
+}
+
+TYPED_TEST(LinkLayer, UdpRoundTripWithArp) {
+  auto& bob = this->bob;
   int got = 0;
   bob.udp_bind(7, nullptr, [&](const StackBackend::UdpDelivery& d) {
     ++got;
-    bob.udp_send(ip_b, 7, d.src_ip, d.src_port, d.bytes, nullptr);
+    bob.udp_send(this->ip_b, 7, d.src_ip, d.src_port, d.bytes, nullptr);
   });
   int replies = 0;
-  alice.udp_bind(8, nullptr,
-                 [&](const StackBackend::UdpDelivery&) { ++replies; });
-  alice.udp_send(ip_a, 8, ip_b, 7, 64, nullptr);
-  engine.run();
+  this->alice.udp_bind(8, nullptr,
+                       [&](const StackBackend::UdpDelivery&) { ++replies; });
+  this->alice.udp_send(this->ip_a, 8, this->ip_b, 7, 64, nullptr);
+  this->engine.run();
   EXPECT_EQ(got, 1);
   EXPECT_EQ(replies, 1);
-  // Same ARP protocol as the full stack: one resolution from alice; bob
-  // learned her MAC from the request itself and replied without resolving.
-  EXPECT_EQ(alice.arp_requests_sent(), 1u);
+  // One resolution from alice; bob learned her MAC from the request
+  // itself and replied without resolving.
+  EXPECT_EQ(this->alice.arp_requests_sent(), 1u);
   EXPECT_EQ(bob.arp_requests_sent(), 0u);
 }
+
+TYPED_TEST(LinkLayer, DetachInterfaceMidRunDropsInFlight) {
+  int got = 0;
+  this->bob.udp_bind(7, nullptr,
+                     [&](const StackBackend::UdpDelivery&) { ++got; });
+  // First exchange resolves ARP and proves the path works.
+  this->alice.udp_send(this->ip_a, 1000, this->ip_b, 7, 64, nullptr);
+  this->engine.run();
+  ASSERT_EQ(got, 1);
+  // Queue more traffic, then unplug alice's NIC before the engine runs:
+  // parked/queued packets dead-end without crashing or leaking.
+  for (int i = 0; i < 4; ++i) {
+    this->alice.udp_send(this->ip_a, 1000, this->ip_b, 7, 64, nullptr);
+  }
+  this->alice.detach_interface(this->alice.ifindex_of("eth0"));
+  this->engine.run();
+  EXPECT_EQ(got, 1);  // nothing further arrived
+}
+
+TYPED_TEST(LinkLayer, ArpRequestAcrossUnplugGetsNoReply) {
+  // A request for alice's address is still queued in her softirq when her
+  // NIC is hot-unplugged: the reply has no netdev left to leave on.
+  EthernetFrame req;
+  req.src = MacAddress::local_from_id(2);
+  req.dst = MacAddress::broadcast();
+  req.ethertype = 0x0806;
+  req.arp_is_request = true;
+  req.arp_sender_ip = this->ip_b;
+  req.arp_sender_mac = MacAddress::local_from_id(2);
+  req.arp_target_ip = this->ip_a;
+  const int eth0 = this->alice.ifindex_of("eth0");
+  this->alice.rx(eth0, std::move(req));
+  this->alice.detach_interface(eth0);
+  this->engine.run();
+  EXPECT_EQ(this->bridge.fdb().size(), 0u);  // nothing reached the wire
+}
+
+// ---- fast-path backend -----------------------------------------------------
+
+using FastPathTwoStacks = TwoStacksOf<FastPathStack>;
 
 TEST_F(FastPathTwoStacks, TcpStreamTransfersExactBytes) {
   std::uint64_t received = 0;
@@ -110,24 +204,6 @@ TEST_F(FastPathTwoStacks, UnsupportedCapabilitiesThrow) {
   EXPECT_NO_THROW(alice.set_flowcache(true));
   EXPECT_FALSE(alice.flowcache_enabled());
   EXPECT_EQ(alice.conntrack_gc(0), 0u);
-}
-
-TEST_F(FastPathTwoStacks, DetachInterfaceMidRunDropsInFlight) {
-  int got = 0;
-  bob.udp_bind(7, nullptr,
-               [&](const StackBackend::UdpDelivery&) { ++got; });
-  // First exchange resolves ARP and proves the path works.
-  alice.udp_send(ip_a, 1000, ip_b, 7, 64, nullptr);
-  engine.run();
-  ASSERT_EQ(got, 1);
-  // Queue more traffic, then unplug alice's NIC before the engine runs:
-  // parked/queued packets dead-end without crashing or leaking.
-  for (int i = 0; i < 4; ++i) {
-    alice.udp_send(ip_a, 1000, ip_b, 7, 64, nullptr);
-  }
-  alice.detach_interface(alice.ifindex_of("eth0"));
-  engine.run();
-  EXPECT_EQ(got, 1);  // nothing further arrived
 }
 
 TEST_F(FastPathTwoStacks, AttachInterfaceMidRun) {
