@@ -191,9 +191,10 @@ VariantResult run_guests(int guests, bool use_service) {
                                                        cores.back().get()));
       s = owned.back().get();
     }
-    ports.push_back(
-        std::make_unique<net::PortBackend>(engine, "p" + std::to_string(g),
-                                           costs));
+    // append(), not `"p" + std::to_string(g)`: GCC 12 reports a false
+    // -Wrestrict on the inlined prefix insert of the latter.
+    ports.push_back(std::make_unique<net::PortBackend>(
+        engine, std::string("p").append(std::to_string(g)), costs));
     net::Device::connect(*ports.back(), 0, bridge, bridge.add_port());
     s->add_interface(*ports.back(),
                      {"eth0", MacAddress::local_from_id(std::uint64_t(g) + 1),

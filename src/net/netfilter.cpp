@@ -1,6 +1,6 @@
 #include "net/netfilter.hpp"
 
-#include <cassert>
+#include <stdexcept>
 
 namespace nestv::net {
 
@@ -28,19 +28,47 @@ bool RuleMatch::matches(const Packet& p, std::string_view in,
   return true;
 }
 
+namespace {
+
+/// The address range standing rules drop: no experiment traffic uses it,
+/// so every packet pays the scan and none is affected — the shape of
+/// Docker's and Kubernetes's bookkeeping chains.
+const Ipv4Cidr kStandingDrop(Ipv4Address(203, 0, 113, 0), 24);
+
+/// Removes every rule commented `comment` from `chain`, keeping the
+/// standing block between the same surviving rules.
+std::size_t remove_commented(Chain& chain, const std::string& comment,
+                             const Netfilter::MutationListener& on_mutation) {
+  std::size_t removed = 0;
+  std::uint32_t removed_before_block = 0;
+  for (std::size_t i = 0; i < chain.rules.size();) {
+    if (chain.rules[i].comment != comment) {
+      ++i;
+      continue;
+    }
+    if (on_mutation) on_mutation(chain.rules[i].match);
+    if (i + removed < chain.standing_at) ++removed_before_block;
+    chain.rules.erase(chain.rules.begin() + static_cast<std::ptrdiff_t>(i));
+    ++removed;
+  }
+  chain.standing_at -= removed_before_block;
+  return removed;
+}
+
+}  // namespace
+
 void Netfilter::install_standing_rules(int n) {
-  // Rules that match an address range no experiment traffic uses: every
-  // packet pays the scan, none is affected — the shape of Docker's and
-  // Kubernetes's bookkeeping chains.
-  const auto nowhere = Ipv4Cidr(Ipv4Address(203, 0, 113, 0), 24);
-  for (int i = 0; i < n; ++i) {
-    Rule r;
-    r.match.dst = nowhere;
-    r.target = TargetKind::kDrop;
-    r.comment = "standing-" + std::to_string(i);
-    filter_chain(Hook::kForward).rules.push_back(r);
-    filter_chain(Hook::kInput).rules.push_back(r);
-    filter_chain(Hook::kOutput).rules.push_back(r);
+  if (n <= 0) return;
+  for (const Hook h : {Hook::kForward, Hook::kInput, Hook::kOutput}) {
+    Chain& chain = filter_chain(h);
+    const auto end = static_cast<std::uint32_t>(chain.rules.size());
+    if (chain.standing > 0 && chain.standing_at != end) {
+      throw std::logic_error(
+          "Netfilter::install_standing_rules: rules follow the chain's "
+          "standing block; a chain holds one block");
+    }
+    chain.standing += static_cast<std::uint32_t>(n);
+    chain.standing_at = end;
   }
 }
 
@@ -232,7 +260,19 @@ Netfilter::HookResult Netfilter::run_filter(Hook h, Packet& p,
                                             std::string_view out) {
   HookResult r;
   const Chain& chain = filter_[static_cast<std::size_t>(h)];
-  for (const Rule& rule : chain.rules) {
+  for (std::size_t i = 0; i <= chain.rules.size(); ++i) {
+    if (i == chain.standing_at && chain.standing > 0) {
+      // The standing block: its first rule drops 203.0.113.0/24, any
+      // other packet scans all of them and goes on.
+      if (kStandingDrop.contains(p.dst_ip)) {
+        r.cost += costs_->nf_rule_scan;
+        r.verdict = Verdict::kDrop;
+        return r;
+      }
+      r.cost += chain.standing * costs_->nf_rule_scan;
+    }
+    if (i == chain.rules.size()) break;
+    const Rule& rule = chain.rules[i];
     r.cost += costs_->nf_rule_scan;
     if (!rule.match.matches(p, in, out)) continue;
     if (rule.target == TargetKind::kDrop) {
@@ -278,34 +318,12 @@ void Netfilter::add_filter_rule(Hook h, Rule rule) {
 }
 
 std::size_t Netfilter::remove_nat_rules(Hook h, const std::string& comment) {
-  auto& rules = nat_chain(h).rules;
-  std::size_t removed = 0;
-  for (auto it = rules.begin(); it != rules.end();) {
-    if (it->comment == comment) {
-      if (on_mutation_) on_mutation_(it->match);
-      it = rules.erase(it);
-      ++removed;
-    } else {
-      ++it;
-    }
-  }
-  return removed;
+  return remove_commented(nat_chain(h), comment, on_mutation_);
 }
 
 std::size_t Netfilter::remove_filter_rules(Hook h,
                                            const std::string& comment) {
-  auto& rules = filter_chain(h).rules;
-  std::size_t removed = 0;
-  for (auto it = rules.begin(); it != rules.end();) {
-    if (it->comment == comment) {
-      if (on_mutation_) on_mutation_(it->match);
-      it = rules.erase(it);
-      ++removed;
-    } else {
-      ++it;
-    }
-  }
-  return removed;
+  return remove_commented(filter_chain(h), comment, on_mutation_);
 }
 
 }  // namespace nestv::net

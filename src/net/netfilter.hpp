@@ -10,6 +10,7 @@
 // executed by software interrupts" (section 5.2.3).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -82,6 +83,13 @@ struct Rule {
 struct Chain {
   std::vector<Rule> rules;
   Verdict policy = Verdict::kAccept;
+  /// The standing-rule block (Netfilter::install_standing_rules): `standing`
+  /// identical DROP rules for 203.0.113.0/24, held as a count and scanned
+  /// just before rules[standing_at] (or after the last rule when
+  /// standing_at == rules.size()).  Rules edited through the Netfilter
+  /// API keep the block in place; a direct `rules` edit must only append.
+  std::uint32_t standing = 0;
+  std::uint32_t standing_at = 0;
 };
 
 // ConnKey / ConnKeyHash / ConnEntry and the compact conntrack store live
@@ -120,7 +128,12 @@ class Netfilter {
   /// Installs `n` pass-through rules on the filter FORWARD and OUTPUT/INPUT
   /// chains, standing in for the chains Docker/Kubernetes maintain
   /// (DOCKER-USER, KUBE-SERVICES, ...).  They match nothing but still cost
-  /// a scan per packet — the fig 6/7 "soft" overhead.
+  /// a scan per packet — the fig 6/7 "soft" overhead.  The block is a
+  /// count at the chain's current end, not n Rule objects: a packet for
+  /// 203.0.113.0/24 is dropped by the first (one scan), any other packet
+  /// pays n scans and goes on, exactly as n explicit rules would charge.
+  /// A second call extends the block only while no rule follows it
+  /// (std::logic_error otherwise: one block per chain).
   void install_standing_rules(int n);
 
   struct HookResult {
@@ -177,8 +190,8 @@ class Netfilter {
   static ConnKey key_of(const Packet& p);
 
   const sim::CostModel* costs_;
-  std::vector<Chain> nat_{static_cast<std::size_t>(Hook::kCount)};
-  std::vector<Chain> filter_{static_cast<std::size_t>(Hook::kCount)};
+  std::array<Chain, static_cast<std::size_t>(Hook::kCount)> nat_;
+  std::array<Chain, static_cast<std::size_t>(Hook::kCount)> filter_;
   ConnTable conns_;
   std::uint16_t next_nat_port_ = 32768;
   std::uint64_t rr_counter_ = 0;  ///< round-robin cursor for service rules

@@ -259,9 +259,10 @@ void FullStack::ip_rx_one(int ifindex, Packet&& p) {
     return;
   }
   if (p.ttl <= 1) {
-    softirq_run(cost, [this, pkt = p] {
+    // Time exceeded in transit, from the interface it arrived on.
+    softirq_run(cost, [this, pkt = p, src = iface(ifindex).cfg.ip] {
       ++dropped_;
-      send_icmp_error(pkt, 11, 0);  // time exceeded in transit
+      send_icmp_error(pkt, 11, 0, src);
     });
     return;
   }
@@ -329,14 +330,13 @@ void FullStack::deliver_icmp(const Packet& p) {
 }
 
 void FullStack::send_icmp_error(const Packet& offender, std::uint8_t type,
-                                std::uint8_t code) {
+                                std::uint8_t code, Ipv4Address src) {
   // Never generate errors about ICMP errors (RFC 1122) or unknown sources.
   if (offender.proto == L4Proto::kIcmp && offender.icmp_type != 8) return;
   if (offender.src_ip.is_unspecified()) return;
   ++icmp_errors_tx_;
   Packet err;
-  // Report from the receiving interface's primary address.
-  err.src_ip = ifaces_.size() > 1 ? ifaces_[1].cfg.ip : ifaces_[0].cfg.ip;
+  err.src_ip = src;
   err.dst_ip = offender.src_ip;
   err.proto = L4Proto::kIcmp;
   err.icmp_type = type;
@@ -349,7 +349,10 @@ void FullStack::send_icmp_error(const Packet& offender, std::uint8_t type,
 }
 
 void FullStack::udp_unbound(const Packet& p) {
-  send_icmp_error(p, 3, 3);  // destination port unreachable
+  // Destination port unreachable, from the local address the datagram was
+  // sent to: the receiving interface's (Linux's icmp_send picks the
+  // offender's destination for locally delivered packets too).
+  send_icmp_error(p, 3, 3, p.dst_ip);
 }
 
 // ---- TX path -------------------------------------------------------------------
@@ -613,8 +616,13 @@ void FullStack::ping(Ipv4Address dst, std::uint32_t payload_bytes,
   const std::uint16_t seq = next_ping_seq_++;
   pings_[seq] = PendingPing{engine_->now(), std::move(done)};
   Packet p;
-  // Source selection: first non-loopback interface, as the FIB would pick.
-  p.src_ip = ifaces_.size() > 1 ? ifaces_[1].cfg.ip : ifaces_[0].cfg.ip;
+  // Source selection as the FIB makes it: the route's egress interface
+  // (the first non-loopback one when nothing routes `dst`).
+  const auto route = routes_.lookup(dst);
+  const int out = route && route->ifindex > 0
+                      ? route->ifindex
+                      : (ifaces_.size() > 1 ? 1 : 0);
+  p.src_ip = iface(out).cfg.ip;
   p.dst_ip = dst;
   p.proto = L4Proto::kIcmp;
   p.icmp_type = 8;

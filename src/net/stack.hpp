@@ -164,9 +164,10 @@ class FullStack : public StackBackend {
                    MacAddress next_hop_mac);
 
   void deliver_icmp(const Packet& p);
-  /// Emits an ICMP error (type/code) about `offender` back to its source.
+  /// Emits an ICMP error (type/code) about `offender` back to its source,
+  /// from local address `src`.
   void send_icmp_error(const Packet& offender, std::uint8_t type,
-                       std::uint8_t code);
+                       std::uint8_t code, Ipv4Address src);
   /// Unbound UDP port: answer with ICMP port-unreachable.
   void udp_unbound(const Packet& p) override;
 

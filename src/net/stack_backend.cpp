@@ -385,13 +385,9 @@ void StackBackend::deliver_udp(Packet&& p) {
     return;
   }
   UdpBinding& bind = it->second;
-  UdpDelivery d{p.payload_bytes, p.src_ip, p.src_port, p.sent_at, nullptr};
-  if (p.inner) {
-    // Sole consumer from here on: hand the inner frame over instead of
-    // deep-copying it (the shared_ptr only exists to keep UdpDelivery
-    // copyable for the scheduled app path).
-    d.inner = std::shared_ptr<EthernetFrame>(std::move(p.inner));
-  }
+  // Sole consumer from here on: the inner frame (if any) moves along.
+  UdpDelivery d{p.payload_bytes, p.src_ip, p.src_port, p.sent_at,
+                std::move(p.inner)};
   if (bind.kernel) {
     // In-kernel consumer (VXLAN VTEP): no wakeup, no syscall.
     bind.handler(d);
@@ -402,10 +398,11 @@ void StackBackend::deliver_udp(Packet&& p) {
                         static_cast<sim::Duration>(
                             c.copy_byte * static_cast<double>(p.payload_bytes));
   // Wakeup latency, then the recvfrom() on the app's CPU.
-  engine_->schedule_in(c.rx_wakeup, [this, &bind, d, app_cost]() mutable {
+  engine_->schedule_in(c.rx_wakeup, [this, &bind, d = std::move(d),
+                                      app_cost]() mutable {
     if (bind.app != nullptr) {
       resource_run(bind.app, sim::CpuCategory::kSys, app_cost,
-                   [&bind, d]() mutable { bind.handler(d); });
+                   [&bind, d = std::move(d)]() mutable { bind.handler(d); });
     } else {
       bind.handler(d);
     }

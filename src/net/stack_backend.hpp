@@ -253,8 +253,8 @@ class StackBackend {
     Ipv4Address src_ip;
     std::uint16_t src_port = 0;
     sim::TimePoint sent_at = 0;  ///< sender's socket-exit timestamp
-    /// Encapsulated inner frame (VXLAN); shared so the delivery is copyable.
-    std::shared_ptr<EthernetFrame> inner;
+    /// Encapsulated inner frame (VXLAN), handed over from the datagram.
+    std::unique_ptr<EthernetFrame> inner;
   };
   /// Handlers get a mutable delivery so a sole kernel consumer (the VXLAN
   /// VTEP) can steal the inner frame instead of deep-copying it; handlers

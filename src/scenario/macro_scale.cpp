@@ -604,6 +604,9 @@ MacroScaleResult run_macro_scale(const MacroScaleConfig& config) {
     const auto t = p.pod->overlay->oncache_totals();
     out.oncache_hits += t.egress_hits + t.ingress_hits;
   }
+  for (const auto& bed : beds) {
+    out.host_route_entries += bed->machine().stack().routes().size();
+  }
   out.events_total = conductor.total_events();
   out.per_shard_events = conductor.per_shard_events();
   for (int s = 0; s < conductor.shards(); ++s) {

@@ -126,6 +126,11 @@ struct MacroScaleResult {
   double state_bytes_per_flow = 0;
   /// Entries reaped by periodic conntrack GC across all machines.
   std::uint64_t conntrack_gc_reaped = 0;
+  /// Own routing-table entries summed over the host stacks at the end of
+  /// the run.  The fabric's mesh routes live once in its peer-route set,
+  /// so this grows linearly in machines; a per-host full mesh would make
+  /// it quadratic.
+  std::uint64_t host_route_entries = 0;
   double pods_scheduled = 0;
   double vms_bought = 0;
   double placement_cost_per_hour = 0;
@@ -182,6 +187,7 @@ simulated_outputs(const MacroScaleResult& r) {
       {"oncache_bytes_at_peak", double(r.oncache_bytes_at_peak)},
       {"oncache_hits", double(r.oncache_hits)},
       {"conntrack_gc_reaped", double(r.conntrack_gc_reaped)},
+      {"host_route_entries", double(r.host_route_entries)},
       {"pods_scheduled", r.pods_scheduled},
       {"vms_bought", r.vms_bought},
       {"placement_cost_per_hour", r.placement_cost_per_hour},

@@ -35,7 +35,6 @@ void PhysicalSwitch::attach(PhysicalMachine& machine) {
 
   Member member;
   member.machine = &machine;
-  member.ext_ip = subnet_.host(next_ip_++);
   // The NIC-side half of the uplink runs on the machine's own engine (=
   // shard); only the wire to the ToR may cross shards.
   member.port = std::make_unique<net::PortBackend>(
@@ -47,21 +46,17 @@ void PhysicalSwitch::attach(PhysicalMachine& machine) {
   net::InterfaceConfig cfg;
   cfg.name = "ext0";
   cfg.mac = machine.allocate_mac();
-  cfg.ip = member.ext_ip;
+  cfg.ip = subnet_.host(next_ip_++);
   cfg.subnet = subnet_;
   cfg.gso_bytes = costs_->gso_virtio;  // physical NICs have TSO
   const int ext_if = machine.stack().add_interface(*member.port, cfg);
-  member.ext_ifindex = ext_if;
 
-  // Full-mesh routes: everyone reaches everyone's VM subnet through the
-  // owner's external address.
-  for (Member& other : members_) {
-    machine.stack().routes().add(net::Route{
-        other.machine->config().bridge_subnet, ext_if, other.ext_ip, 0});
-    other.machine->stack().routes().add(net::Route{
-        machine.config().bridge_subnet, other.ext_ifindex, member.ext_ip,
-        0});
-  }
+  // Mesh routes: every member reaches every other member's VM subnet
+  // through the owner's external address.  The fabric holds them once;
+  // each member's table reads the shared set.
+  const std::uint32_t self =
+      peers_.add(machine.config().bridge_subnet, cfg.ip);
+  machine.stack().routes().use_peers(peers_, self, ext_if);
   members_.push_back(std::move(member));
 }
 

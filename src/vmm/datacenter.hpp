@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "net/bridge.hpp"
+#include "net/route.hpp"
 #include "sim/sharded_conductor.hpp"
 #include "vmm/machine.hpp"
 
@@ -34,12 +35,12 @@ class PhysicalSwitch {
                  sim::ShardedConductor* conductor = nullptr);
 
   /// Connects `machine` to the fabric: creates its external interface
-  /// ("ext0", addressed from the fabric subnet) and installs routes so
-  /// every previously-attached machine can reach this machine's VM subnet
-  /// and vice versa.  Machines must use distinct bridge subnets; a
-  /// duplicate throws std::invalid_argument (two racks announcing the
-  /// same prefix is a config error, not a programming invariant, so it
-  /// must hold in Release builds too).
+  /// ("ext0", addressed from the fabric subnet) and joins the fabric's
+  /// peer-route set, so every other attached machine reaches this
+  /// machine's VM subnet and vice versa.  Machines must use distinct
+  /// bridge subnets; a duplicate throws std::invalid_argument (two racks
+  /// announcing the same prefix is a config error, not a programming
+  /// invariant, so it must hold in Release builds too).
   void attach(PhysicalMachine& machine);
 
   [[nodiscard]] std::size_t machine_count() const {
@@ -51,8 +52,6 @@ class PhysicalSwitch {
   struct Member {
     PhysicalMachine* machine = nullptr;
     std::unique_ptr<net::PortBackend> port;
-    net::Ipv4Address ext_ip;
-    int ext_ifindex = -1;  ///< "ext0" in the machine's stack
   };
 
   sim::Engine* engine_;
@@ -61,6 +60,9 @@ class PhysicalSwitch {
   net::Ipv4Cidr subnet_;
   std::unique_ptr<net::Bridge> fabric_;
   std::vector<Member> members_;
+  /// Member VM subnet -> member ext0 address, consulted by every member's
+  /// routing table (net::PeerRouteSet).
+  net::PeerRouteSet peers_;
   std::uint32_t next_ip_ = 1;
 };
 

@@ -78,7 +78,6 @@ void HierarchicalFabric::attach(PhysicalMachine& machine) {
 
   Member member;
   member.machine = &machine;
-  member.ext_ip = config_.subnet.host(next_ip_++);
   member.port = std::make_unique<net::PortBackend>(
       machine.engine(), machine.config().name + "/ext0-port", *costs_);
   const int tor_port = tor.add_port();
@@ -88,11 +87,10 @@ void HierarchicalFabric::attach(PhysicalMachine& machine) {
   net::InterfaceConfig cfg;
   cfg.name = "ext0";
   cfg.mac = machine.allocate_mac();
-  cfg.ip = member.ext_ip;
+  cfg.ip = config_.subnet.host(next_ip_++);
   cfg.subnet = config_.subnet;
   cfg.gso_bytes = costs_->gso_virtio;  // physical NICs have TSO
   const int ext_if = machine.stack().add_interface(*member.port, cfg);
-  member.ext_ifindex = ext_if;
 
   // Static forwarding state: the machine's MAC at its ToR (downlink) and
   // at every spine (toward this rack), plus the proxy-ARP directory entry.
@@ -101,17 +99,14 @@ void HierarchicalFabric::attach(PhysicalMachine& machine) {
     spines_[s]->bind_mac(cfg.mac,
                          spine_port_[static_cast<std::size_t>(rack)][s]);
   }
-  directory_.mac_of_ip[member.ext_ip.value()] = cfg.mac;
+  directory_.mac_of_ip[cfg.ip.value()] = cfg.mac;
 
-  // Full-mesh routes: everyone reaches everyone's VM subnet through the
-  // owner's external address (lookup is hashed, so table size is free).
-  for (Member& other : members_) {
-    machine.stack().routes().add(net::Route{
-        other.machine->config().bridge_subnet, ext_if, other.ext_ip, 0});
-    other.machine->stack().routes().add(net::Route{
-        machine.config().bridge_subnet, other.ext_ifindex, member.ext_ip,
-        0});
-  }
+  // Mesh routes: every member reaches every other member's VM subnet
+  // through the owner's external address.  The fabric holds them once;
+  // each member's table reads the shared set.
+  const std::uint32_t self =
+      peers_.add(machine.config().bridge_subnet, cfg.ip);
+  machine.stack().routes().use_peers(peers_, self, ext_if);
   members_.push_back(std::move(member));
 }
 

@@ -23,11 +23,11 @@
 // faster than the shortest fabric link.
 //
 // L3 is the same derivative-cloud plan as PhysicalSwitch: every machine
-// gets an external NIC ("ext0") addressed from the fabric subnet, and a
-// full mesh of routes sends each remote machine's VM subnet via that
-// machine's external address.  ARP for those gateway addresses is answered
-// at the ToR from a fabric-wide directory (proxy ARP); requests never
-// flood the fabric.
+// gets an external NIC ("ext0") addressed from the fabric subnet, and each
+// remote machine's VM subnet is routed via that machine's external address
+// (one net::PeerRouteSet per fabric, read by every member's routing
+// table).  ARP for those gateway addresses is answered at the ToR from a
+// fabric-wide directory (proxy ARP); requests never flood the fabric.
 #pragma once
 
 #include <cstdint>
@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "net/fabric_switch.hpp"
+#include "net/route.hpp"
 #include "sim/sharded_conductor.hpp"
 #include "vmm/machine.hpp"
 
@@ -67,7 +68,8 @@ class HierarchicalFabric {
   /// Connects `machine`: racks fill in attach order (machines_per_rack per
   /// ToR, ToRs created on demand).  Creates the machine's "ext0", binds
   /// its MAC at its ToR and every spine, registers it for proxy ARP, and
-  /// installs the full-mesh VM-subnet routes.  Distinct VM subnets are
+  /// joins the fabric's peer-route set (every member's VM subnet routes
+  /// via that member's ext0 address).  Distinct VM subnets are
   /// required (duplicates throw std::invalid_argument).
   void attach(PhysicalMachine& machine);
 
@@ -98,8 +100,6 @@ class HierarchicalFabric {
   struct Member {
     PhysicalMachine* machine = nullptr;
     std::unique_ptr<net::PortBackend> port;
-    net::Ipv4Address ext_ip;
-    int ext_ifindex = -1;  ///< "ext0" in the machine's stack
   };
 
   /// Creates the ToR for rack `r` on `engine` and meshes it to each spine.
@@ -116,6 +116,9 @@ class HierarchicalFabric {
   /// (where machine MACs of rack r are bound on spine s).
   std::vector<std::vector<int>> spine_port_;
   std::vector<Member> members_;
+  /// Member VM subnet -> member ext0 address, consulted by every member's
+  /// routing table (net::PeerRouteSet).
+  net::PeerRouteSet peers_;
   std::uint32_t next_ip_ = 1;
 };
 

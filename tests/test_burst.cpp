@@ -201,7 +201,9 @@ class HostloCloneFixture : public ::testing::Test {
     vmm::Vm& vm = vmm.create_vm({.name = "vm1"});
     int delivered = 0;
     for (int i = 0; i < queues; ++i) {
-      vmm::VirtioNic& nic = vm.create_nic("q" + std::to_string(i));
+      // append(): GCC 12 reports a false -Wrestrict on "q" + string.
+      vmm::VirtioNic& nic =
+          vm.create_nic(std::string("q").append(std::to_string(i)));
       hostlo.add_queue(nic);
       nic.set_rx([&delivered](net::EthernetFrame) { ++delivered; });
     }

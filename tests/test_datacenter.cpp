@@ -1,10 +1,12 @@
 // Multi-host fabric tests: routing between machines, cross-host VM and
-// overlay traffic, and the intra-host scoping of Hostlo.
+// overlay traffic, the intra-host scoping of Hostlo, and the shared
+// peer-route set both fabrics route their members through.
 #include <gtest/gtest.h>
 
 #include "net/bridge.hpp"
 #include "net/vxlan.hpp"
 #include "vmm/datacenter.hpp"
+#include "vmm/fabric.hpp"
 #include "vmm/vmm.hpp"
 
 namespace nestv {
@@ -290,6 +292,95 @@ TEST_F(FullMeshFixture, CrossMachineTcpStreamTwoHopsAway) {
   EXPECT_EQ(received, 200000u);
   EXPECT_GE(hosts[0]->stack().packets_forwarded(), 1u);
   EXPECT_GE(hosts[2]->stack().packets_forwarded(), 1u);
+}
+
+// ---- mesh routes from one shared peer-route set -------------------------
+
+/// Machines attached one by one to a fabric of type `Fabric` on one engine.
+template <typename Fabric>
+struct MeshWorld {
+  sim::Engine engine;
+  sim::CostModel costs{};
+  Fabric fabric{engine, costs};
+  std::vector<std::unique_ptr<vmm::PhysicalMachine>> hosts;
+
+  static net::Ipv4Cidr subnet(int i) {
+    return net::Ipv4Cidr(
+        net::Ipv4Address(192, 168, std::uint8_t(10 + i), 0), 24);
+  }
+  void grow_to(int n) {
+    while (int(hosts.size()) < n) {
+      const int i = int(hosts.size());
+      vmm::PhysicalMachine::Config c;
+      c.name = "host-" + std::to_string(i);
+      c.seed = std::uint64_t(i + 1);
+      c.bridge_subnet = subnet(i);
+      hosts.push_back(
+          std::make_unique<vmm::PhysicalMachine>(engine, costs, c));
+      fabric.attach(*hosts.back());
+    }
+  }
+  net::NetworkStack& stack(int i) { return hosts[std::size_t(i)]->stack(); }
+  net::Ipv4Address ext_ip(int i) {
+    return stack(i).iface_ip(stack(i).ifindex_of("ext0"));
+  }
+};
+
+template <typename Fabric>
+class MeshRoutes : public ::testing::Test {};
+using Fabrics = ::testing::Types<vmm::PhysicalSwitch, vmm::HierarchicalFabric>;
+TYPED_TEST_SUITE(MeshRoutes, Fabrics);
+
+// What the per-host full mesh decided: a member's VM subnet leaves through
+// ext0 toward that member's ext0 address; the host's own subnet stays on
+// br0; fabric addresses are on-link via ext0; anything else has no route.
+TYPED_TEST(MeshRoutes, LookupsMatchTheFullMeshDecision) {
+  constexpr int kMachines = 8;
+  MeshWorld<TypeParam> w;
+  w.grow_to(kMachines);
+  for (int i = 0; i < kMachines; ++i) {
+    auto& st = w.stack(i);
+    const int ext0 = st.ifindex_of("ext0");
+    for (int j = 0; j < kMachines; ++j) {
+      const net::Ipv4Address dst = w.subnet(j).host(7);
+      const auto r = st.routes().lookup(dst);
+      ASSERT_TRUE(r.has_value()) << i << " -> " << j;
+      if (i == j) {
+        EXPECT_EQ(r->ifindex, st.ifindex_of("br0"));
+        EXPECT_EQ(r->next_hop, dst);
+      } else {
+        EXPECT_EQ(r->ifindex, ext0) << i << " -> " << j;
+        EXPECT_EQ(r->next_hop, w.ext_ip(j)) << i << " -> " << j;
+      }
+      const auto on_link = st.routes().lookup(w.ext_ip(j));
+      ASSERT_TRUE(on_link.has_value());
+      EXPECT_EQ(on_link->ifindex, ext0);
+      EXPECT_EQ(on_link->next_hop, w.ext_ip(j));
+    }
+    EXPECT_FALSE(
+        st.routes().lookup(net::Ipv4Address(203, 0, 113, 9)).has_value());
+    EXPECT_FALSE(st.routes().lookup(w.subnet(kMachines).host(7)).has_value());
+  }
+}
+
+// Every attach is one route's worth of generation on each earlier member
+// (flowcache and ONCache stamps go stale exactly as under a per-host add),
+// while a host's own table does not grow with the fabric.
+TYPED_TEST(MeshRoutes, AttachMovesGenerationWithoutGrowingOwnRoutes) {
+  MeshWorld<TypeParam> w;
+  w.grow_to(8);
+  const std::size_t own_at_8 = w.stack(0).routes().size();
+  const std::uint64_t gen_at_8 = w.stack(0).routes().generation();
+  w.grow_to(9);
+  EXPECT_EQ(w.stack(0).routes().generation(), gen_at_8 + 1);
+  EXPECT_EQ(w.stack(8).routes().lookup(w.subnet(0).host(7))->next_hop,
+            w.ext_ip(0));
+  w.grow_to(64);
+  EXPECT_EQ(w.stack(0).routes().generation(), gen_at_8 + 56);
+  EXPECT_EQ(w.stack(0).routes().size(), own_at_8);
+  EXPECT_EQ(w.stack(63).routes().size(), own_at_8);
+  EXPECT_EQ(w.stack(0).routes().lookup(w.subnet(63).host(7))->next_hop,
+            w.ext_ip(63));
 }
 
 }  // namespace

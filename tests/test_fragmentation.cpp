@@ -32,8 +32,8 @@ struct FragFixture : ::testing::Test {
 TEST_F(FragFixture, OversizedDatagramArrivesWhole) {
   NetworkStack::UdpDelivery seen{};
   int deliveries = 0;
-  bob.udp_bind(7, nullptr, [&](const NetworkStack::UdpDelivery& d) {
-    seen = d;
+  bob.udp_bind(7, nullptr, [&](NetworkStack::UdpDelivery& d) {
+    seen = std::move(d);
     ++deliveries;
   });
   alice.udp_send(ip_a, 1000, ip_b, 7, 9000, nullptr);  // 9000 > 1472

@@ -1,8 +1,10 @@
 // Unit tests for addresses, packets, wire format, routing and neighbours.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "net/address.hpp"
 #include "net/neighbor.hpp"
@@ -394,6 +396,82 @@ TEST(RoutingTable, MetricBreaksTies) {
   const auto r = t.lookup(Ipv4Address(10, 0, 0, 1));
   ASSERT_TRUE(r.has_value());
   EXPECT_EQ(r->ifindex, 2);
+}
+
+// Replays a fabric's joins two ways: every host's table gets a route per
+// other member (the per-host full mesh), or every host consults one shared
+// PeerRouteSet.  Own routes go in before, between and after the joins,
+// including ties with peer prefixes at metrics -1, 0 and 1, so the
+// longest-prefix, metric and insertion-order results and the generations
+// must agree at every step.
+TEST(PeerRouteSet, MatchesPerHostFullMesh) {
+  constexpr int kHosts = 5;
+  constexpr int kExt = 2;
+  auto subnet = [](int i) {
+    return Ipv4Cidr(Ipv4Address(10, 200, std::uint8_t(i), 0), 24);
+  };
+  auto gateway = [](int i) {
+    return Ipv4Address(10, 10, 0, std::uint8_t(i + 1));
+  };
+  PeerRouteSet peers;
+  std::vector<RoutingTable> shared(kHosts), mesh(kHosts);
+  auto both = [&](int h, const Route& r) {
+    shared[std::size_t(h)].add(r);
+    mesh[std::size_t(h)].add(r);
+  };
+  std::vector<Ipv4Address> probes = {Ipv4Address(10, 10, 0, 77),
+                                     Ipv4Address(8, 8, 8, 8)};
+  for (int i = 0; i < kHosts; ++i) probes.push_back(subnet(i).host(5));
+  auto expect_same = [&](const char* when) {
+    for (int h = 0; h < kHosts; ++h) {
+      const auto& a = shared[std::size_t(h)];
+      const auto& b = mesh[std::size_t(h)];
+      EXPECT_EQ(a.generation(), b.generation()) << when << " host " << h;
+      for (const Ipv4Address dst : probes) {
+        const auto x = a.lookup(dst);
+        const auto y = b.lookup(dst);
+        ASSERT_EQ(x.has_value(), y.has_value()) << when << " host " << h;
+        if (!x) continue;
+        EXPECT_EQ(x->ifindex, y->ifindex)
+            << when << " host " << h << " dst " << dst.to_string();
+        EXPECT_EQ(x->next_hop, y->next_hop)
+            << when << " host " << h << " dst " << dst.to_string();
+      }
+    }
+  };
+
+  for (int h = 0; h < kHosts; ++h) {
+    both(h, Route{subnet(h), 1, std::nullopt, 0});
+    both(h, Route{Ipv4Cidr(Ipv4Address(10, 10, 0, 0), 16), kExt,
+                  std::nullopt, 0});
+    // Claims a later member's subnet before joining.
+    both(h, Route{subnet((h + 1) % kHosts), 3, Ipv4Address(192, 0, 2, 1),
+                  h % 3 - 1});
+  }
+  expect_same("before joins");
+  for (int h = 0; h < kHosts; ++h) {
+    for (int m = 0; m < h; ++m) {  // the full mesh's per-pair adds
+      mesh[std::size_t(h)].add(Route{subnet(m), kExt, gateway(m), 0});
+      mesh[std::size_t(m)].add(Route{subnet(h), kExt, gateway(h), 0});
+    }
+    const std::uint32_t self = peers.add(subnet(h), gateway(h));
+    EXPECT_EQ(self, std::uint32_t(h));
+    shared[std::size_t(h)].use_peers(peers, self, kExt);
+    expect_same("after a join");
+    // Members that joined claim some subnet between joins; host 0 claims
+    // the next member's, so its route predates that member's join.
+    for (int m = 0; m <= h; ++m) {
+      both(m, Route{subnet((m + h + 1) % kHosts), 4,
+                    Ipv4Address(192, 0, 2, 2), (m + h) % 3 - 1});
+    }
+    expect_same("between joins");
+  }
+  both(0, Route{Ipv4Cidr(Ipv4Address(0), 0), kExt, Ipv4Address(10, 10, 0, 9),
+                0});
+  expect_same("after a default route");
+  // Own routes stay O(1) per host: the mesh holds kHosts - 1 more each.
+  EXPECT_EQ(mesh[0].size() - shared[0].size(), std::size_t(kHosts - 1));
+  EXPECT_THROW(peers.add(subnet(2), gateway(9)), std::invalid_argument);
 }
 
 // ---- neighbour table ----------------------------------------------------------------------

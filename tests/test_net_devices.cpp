@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "net/bridge.hpp"
@@ -372,6 +373,102 @@ TEST(Netfilter, StandingRulesCostPerPacket) {
   const auto c_without = without.run_hook(Hook::kForward, p2, "", "", 0);
   EXPECT_EQ(c_with.cost - c_without.cost, 10 * kCosts.nf_rule_scan);
   EXPECT_EQ(c_with.verdict, Verdict::kAccept);  // standing rules match nothing
+}
+
+// The standing block is a count, not Rule objects; it must charge and
+// decide exactly what n explicit standing rules at the same position do.
+TEST(Netfilter, StandingBlockMatchesExplicitRules) {
+  const Ipv4Cidr nowhere(Ipv4Address(203, 0, 113, 0), 24);
+  auto user_rules = [] {
+    Rule drop_host;
+    drop_host.match.dst = Ipv4Cidr(Ipv4Address(10, 0, 0, 5), 32);
+    drop_host.target = TargetKind::kDrop;
+    drop_host.comment = "user-drop";
+    Rule accept_dns;
+    accept_dns.match.proto = L4Proto::kUdp;
+    accept_dns.match.dport = 53;
+    accept_dns.comment = "user-dns";
+    return std::vector<Rule>{drop_host, accept_dns};
+  };
+  const std::vector<Packet> packets = {
+      make_packet(Ipv4Address(1, 1, 1, 1), 10, Ipv4Address(203, 0, 113, 7),
+                  80),                                          // in range
+      make_packet(Ipv4Address(1, 1, 1, 1), 10, Ipv4Address(10, 0, 0, 5),
+                  80),                                          // user drop
+      make_packet(Ipv4Address(1, 1, 1, 1), 10, Ipv4Address(8, 8, 8, 8), 53,
+                  L4Proto::kUdp),                               // user accept
+      make_packet(Ipv4Address(1, 1, 1, 1), 10, Ipv4Address(1, 2, 3, 4),
+                  443),                                         // policy
+  };
+  for (const int n : {0, 1, 6}) {
+    for (const bool block_first : {true, false}) {
+      Netfilter lean(kCosts), ref(kCosts);
+      auto add_user = [&] {
+        for (const Hook h : {Hook::kForward, Hook::kInput, Hook::kOutput}) {
+          for (const Rule& r : user_rules()) {
+            lean.add_filter_rule(h, r);
+            ref.filter_chain(h).rules.push_back(r);
+          }
+        }
+      };
+      auto add_standing = [&] {
+        lean.install_standing_rules(n);
+        for (int i = 0; i < n; ++i) {
+          Rule r;
+          r.match.dst = nowhere;
+          r.target = TargetKind::kDrop;
+          for (const Hook h : {Hook::kForward, Hook::kInput, Hook::kOutput}) {
+            ref.filter_chain(h).rules.push_back(r);
+          }
+        }
+      };
+      if (block_first) {
+        add_standing();
+        add_user();
+      } else {
+        add_user();
+        add_standing();
+      }
+      lean.filter_chain(Hook::kInput).policy = Verdict::kDrop;
+      ref.filter_chain(Hook::kInput).policy = Verdict::kDrop;
+      auto expect_same = [&](const char* when) {
+        for (const Hook h : {Hook::kForward, Hook::kInput, Hook::kOutput}) {
+          for (std::size_t i = 0; i < packets.size(); ++i) {
+            Packet a = packets[i], b = packets[i];
+            const auto got = lean.run_hook(h, a, "eth0", "eth1", 0);
+            const auto want = ref.run_hook(h, b, "eth0", "eth1", 0);
+            EXPECT_EQ(got.cost, want.cost)
+                << when << " n=" << n << " block_first=" << block_first
+                << " hook=" << to_string(h) << " packet " << i;
+            EXPECT_EQ(got.verdict, want.verdict)
+                << when << " n=" << n << " block_first=" << block_first
+                << " hook=" << to_string(h) << " packet " << i;
+          }
+        }
+      };
+      expect_same("installed");
+      // Removing a user rule keeps the block between the same neighbours.
+      for (const Hook h : {Hook::kForward, Hook::kInput, Hook::kOutput}) {
+        EXPECT_EQ(lean.remove_filter_rules(h, "user-drop"), 1u);
+        EXPECT_EQ(ref.remove_filter_rules(h, "user-drop"), 1u);
+      }
+      expect_same("after remove");
+    }
+  }
+}
+
+TEST(Netfilter, StandingBlockIsOnePerChain) {
+  Netfilter nf(kCosts);
+  nf.install_standing_rules(2);
+  nf.install_standing_rules(3);  // nothing in between: the block grows
+  auto p = make_packet(Ipv4Address(1, 1, 1, 1), 10, Ipv4Address(2, 2, 2, 2),
+                       20);
+  const auto c = nf.run_hook(Hook::kForward, p, "", "", 0);
+  EXPECT_EQ(c.cost, kCosts.nf_hook_base + 5 * kCosts.nf_rule_scan);
+  Rule r;
+  r.comment = "after";
+  nf.add_filter_rule(Hook::kForward, r);
+  EXPECT_THROW(nf.install_standing_rules(1), std::logic_error);
 }
 
 TEST(Netfilter, ExpireRemovesIdleConnections) {

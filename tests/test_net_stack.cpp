@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "net/bridge.hpp"
 #include "net/stack.hpp"
@@ -42,7 +43,7 @@ struct TwoStacks : ::testing::Test {
 TEST_F(TwoStacks, UdpDeliveryCarriesMetadata) {
   NetworkStack::UdpDelivery seen{};
   bob.udp_bind(7, nullptr,
-               [&](const NetworkStack::UdpDelivery& d) { seen = d; });
+               [&](NetworkStack::UdpDelivery& d) { seen = std::move(d); });
   alice.udp_send(ip_a, 1234, ip_b, 7, 321, nullptr);
   engine.run();
   EXPECT_EQ(seen.bytes, 321u);
@@ -270,6 +271,55 @@ TEST_F(ForwardingFixture, TtlExpiresInLoops) {
   engine.run();
   EXPECT_EQ(got, 0);
   EXPECT_GT(router.packets_dropped(), 0u);  // no route to TEST-NET-3
+}
+
+// The router is multi-homed (eth0 on 10.0.1/24, eth1 on 10.0.2/24): its
+// ICMP errors and pings must come from the interface the traffic uses, not
+// from whichever interface was added first.
+TEST_F(ForwardingFixture, IcmpTimeExceededComesFromReceivingInterface) {
+  std::vector<Ipv4Address> error_sources;
+  bob.set_icmp_error_handler(
+      [&](const Packet& p) { error_sources.push_back(p.src_ip); });
+  // A bob -> alice datagram whose TTL dies at the router, arriving on eth1.
+  EthernetFrame f;
+  f.src = MacAddress::local_from_id(14);
+  f.dst = MacAddress::local_from_id(13);
+  f.packet.src_ip = ip_b;
+  f.packet.dst_ip = ip_a;
+  f.packet.src_port = 1000;
+  f.packet.dst_port = 7;
+  f.packet.payload_bytes = 64;
+  f.packet.ttl = 1;
+  pr2.ingress(std::move(f), 0);
+  engine.run();
+  EXPECT_EQ(router.icmp_errors_sent(), 1u);
+  ASSERT_EQ(error_sources.size(), 1u);
+  EXPECT_EQ(error_sources[0], ip_r2);
+}
+
+TEST_F(ForwardingFixture, IcmpPortUnreachableComesFromAddressedInterface) {
+  std::vector<Ipv4Address> error_sources;
+  bob.set_icmp_error_handler(
+      [&](const Packet& p) { error_sources.push_back(p.src_ip); });
+  bob.udp_send(ip_b, 1000, ip_r2, 999, 64, nullptr);  // nothing bound
+  engine.run();
+  ASSERT_EQ(error_sources.size(), 1u);
+  EXPECT_EQ(error_sources[0], ip_r2);
+}
+
+TEST_F(ForwardingFixture, PingSourceIsTheEgressInterface) {
+  // Bob drops ICMP from the router's eth0 address, so only a ping sourced
+  // from eth1 (the route toward bob) gets its echo reply.
+  Rule not_eth0;
+  not_eth0.match.proto = L4Proto::kIcmp;
+  not_eth0.match.src = Ipv4Cidr(ip_r1, 32);
+  not_eth0.target = TargetKind::kDrop;
+  bob.netfilter().add_filter_rule(Hook::kInput, not_eth0);
+  int replies = 0;
+  router.ping(ip_b, 56, [&](sim::Duration) { ++replies; });
+  router.ping(ip_a, 56, [&](sim::Duration) { ++replies; });
+  engine.run();
+  EXPECT_EQ(replies, 2);
 }
 
 TEST_F(ForwardingFixture, ForwardingDisabledDrops) {

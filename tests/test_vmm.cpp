@@ -272,8 +272,13 @@ TEST_F(VmmFixture, HostloReflectCostScalesWithQueues) {
   HostloTap big(engine, "h8", costs, &worker8);
 
   Vm& vm = vmm->create_vm({.name = "vmq"});
-  for (int i = 0; i < 2; ++i) small.add_queue(vm.create_nic("s" + std::to_string(i)));
-  for (int i = 0; i < 8; ++i) big.add_queue(vm.create_nic("b" + std::to_string(i)));
+  // append(): GCC 12 reports a false -Wrestrict on "s" + string.
+  for (int i = 0; i < 2; ++i) {
+    small.add_queue(vm.create_nic(std::string("s").append(std::to_string(i))));
+  }
+  for (int i = 0; i < 8; ++i) {
+    big.add_queue(vm.create_nic(std::string("b").append(std::to_string(i))));
+  }
 
   net::EthernetFrame f;
   f.packet.payload_bytes = 100;
