@@ -73,10 +73,6 @@ CaseResult run_case(const CaseSpec& spec) {
     RunShape b;
     b.shards = plan.alt_shards;
     b.workers = plan.alt_workers;
-    // Conductor shape draws: window mode and spine placement vary with
-    // the seed; neither may be visible in the strict digest.
-    b.uniform_window = plan.alt_uniform_window;
-    b.distribute_spines = plan.alt_spread_spines;
     b.label = "B";
     const WorldResult r = run(b);
     absorb_invariants(r, "B(shards=" + std::to_string(b.shards) + ")", out);
@@ -122,8 +118,6 @@ CaseResult run_case(const CaseSpec& spec) {
     RunShape f;
     f.shards = plan.alt_shards;
     f.workers = plan.alt_workers;
-    f.uniform_window = plan.alt_uniform_window;
-    f.distribute_spines = plan.alt_spread_spines;
     f.batch = plan.batch;
     f.flowcache = true;
     f.label = "F";

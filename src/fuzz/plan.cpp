@@ -10,13 +10,9 @@ namespace {
 /// Sub-stream id for plan generation (Rng::of_stream).
 constexpr std::uint64_t kPlanStream = 0x66757a7aULL;  // "fuzz"
 /// Separate sub-stream for the two-tier-topology draw: consuming it does
-/// not advance kPlanStream, so plans that stay flat — including every
-/// existing corpus seed — are bit-identical to what this stream predates.
+/// not advance kPlanStream, so one-rack plans — including every existing
+/// corpus seed — are bit-identical to what this stream predates.
 constexpr std::uint64_t kTopoStream = 0x746f706fULL;  // "topo"
-/// Separate sub-stream for the conductor execution shape (window mode,
-/// spine placement): consuming it advances nothing else, so every plan
-/// field that predates it is bit-identical under every seed.
-constexpr std::uint64_t kExecStream = 0x65786563ULL;  // "exec"
 /// Separate sub-stream for the appended overlay flow: plans that predate
 /// the overlay fuzz coverage — every existing corpus seed — draw nothing
 /// from it, so their generated plans are bit-identical.
@@ -270,16 +266,6 @@ FuzzPlan generate_plan(std::uint64_t seed) {
       }
     }
   }
-
-  // ---- conductor execution shape (dedicated sub-stream) -----------------
-  // Mostly the per-pair matrix with distributed spines (the production
-  // configuration); the scalar-window and stacked-spine legacy modes stay
-  // in rotation so their code paths keep differential coverage.
-  {
-    sim::Rng ex = sim::Rng::of_stream(seed, kExecStream);
-    plan.alt_uniform_window = ex.chance(0.25);
-    plan.alt_spread_spines = ex.chance(0.75);
-  }
   return plan;
 }
 
@@ -293,8 +279,6 @@ std::string FuzzPlan::describe() const {
      << " fc_cap=" << costs.flowcache_capacity
      << " standing=" << costs.nf_standing_rules
      << " alt_shards=" << alt_shards << " alt_workers=" << alt_workers
-     << " alt_uniform_window=" << alt_uniform_window
-     << " alt_spread_spines=" << alt_spread_spines
      << " hostile_napi=" << hostile_napi << " hostile_kick=" << hostile_kick
      << " batch=" << batch << "\n";
   for (std::size_t k = 0; k < flows.size(); ++k) {

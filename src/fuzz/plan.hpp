@@ -66,7 +66,7 @@ enum class ActionKind : std::uint8_t {
   kAddDropRule,      ///< DROP on the forwarding host's FORWARD chain
   kAddNoiseRules,    ///< match-nothing ACCEPT rules (invalidation churn)
   kRemoveNoiseRules, ///< remove previously added noise rules
-  kFdbFlush,         ///< flush a machine bridge's FDB + the fabric FDB
+  kFdbFlush,         ///< flush a machine bridge's FDB
   kConntrackGc,      ///< reap all idle conntrack entries on a machine
   kNicUnplug,        ///< hot-unplug a retired flow's pod NIC
 };
@@ -85,11 +85,11 @@ struct ActionPlan {
 struct FuzzPlan {
   std::uint64_t seed = 0;
   int machines = 2;
-  /// 0 = flat PhysicalSwitch (the historical topology).  > 0 = two-tier
-  /// vmm::HierarchicalFabric with racks of this size under `spines`
-  /// spines, putting the deterministic ECMP tie-break under all four
-  /// oracles.  Drawn from a dedicated sub-stream so every flat-topology
-  /// draw (and thus every existing corpus seed's plan) is unchanged.
+  /// Fabric shape (vmm::HierarchicalFabric).  0 = one rack of all
+  /// `machines` under one spine.  > 0 = racks of this size under `spines`
+  /// spines, putting the deterministic ECMP tie-break under every oracle.
+  /// Drawn from a dedicated sub-stream so every one-rack plan (and thus
+  /// every existing corpus seed's plan) is unchanged.
   int machines_per_rack = 0;
   int spines = 0;
   int waves = 1;
@@ -102,13 +102,6 @@ struct FuzzPlan {
   // ---- shape draws for this seed (consumed by the oracle pairing) ------
   int alt_shards = 2;        ///< shards oracle: shards=alt vs shards=1
   unsigned alt_workers = 2;
-  /// Conductor shape of the sharded runs: scalar-fallback windows vs the
-  /// per-pair lookahead matrix, and the spine tier stacked on shard 0 vs
-  /// round-robined across shards.  Drawn from a dedicated sub-stream so
-  /// every pre-existing seed's plan (and alt_shards etc. above) is
-  /// unchanged.
-  bool alt_uniform_window = false;
-  bool alt_spread_spines = true;
   std::uint32_t hostile_napi = 3;      ///< batch=1 knob pair
   sim::Duration hostile_kick = 99999;  ///< batch=1 knob pair
   std::uint32_t batch = 16;            ///< batched semantic run

@@ -8,7 +8,6 @@
 #include "scenario/deploy.hpp"
 #include "sim/rng.hpp"
 #include "sim/sharded_conductor.hpp"
-#include "vmm/datacenter.hpp"
 #include "vmm/fabric.hpp"
 
 namespace nestv::fuzz {
@@ -120,38 +119,28 @@ WorldResult run_world(const FuzzPlan& plan, const RunShape& shape,
     if (shape.napi != 0) costs.napi_budget = shape.napi;
     if (shape.kick) costs.virtio_kick = *shape.kick;
 
-    const bool two_tier = plan.machines_per_rack > 0;
-    const sim::Duration lookahead =
-        two_tier ? vmm::HierarchicalFabric::min_link_latency(costs)
-                 : costs.fabric_hop_latency;
-    sim::ShardedConductor conductor(shape.shards, lookahead, shape.workers);
-    conductor.set_uniform_window(shape.uniform_window);
+    sim::ShardedConductor conductor(
+        shape.shards, vmm::HierarchicalFabric::min_link_latency(costs),
+        shape.workers);
 
-    // ---- machines + fabric ----------------------------------------------
+    // ---- fabric + machines ----------------------------------------------
+    // One rack under one spine, or the plan's racks under its spines
+    // (multi-path: the oracles then also cover the ECMP tie-break).  The
+    // fabric is declared first so it outlives the machines whose host
+    // stacks point into its ports and its peer-route set.
     const int m_count = plan.machines;
+    vmm::FabricConfig fc;
+    fc.machines_per_rack =
+        plan.machines_per_rack > 0 ? plan.machines_per_rack : m_count;
+    fc.spines = plan.machines_per_rack > 0 ? plan.spines : 1;
+    vmm::HierarchicalFabric fabric(conductor.shard(0), costs, fc,
+                                   &conductor);
     const auto beds = scenario::make_machines(
         conductor, m_count, plan.seed, costs, [](int i) {
           return net::Ipv4Cidr(
               net::Ipv4Address(192, 168, std::uint8_t(100 + i), 0), 24);
         });
-    // Flat learning-bridge fabric or the plan's two-tier ToR/spine fabric
-    // (multi-path: the oracles then also cover the ECMP tie-break).
-    std::unique_ptr<vmm::PhysicalSwitch> flat;
-    std::unique_ptr<vmm::HierarchicalFabric> tiered;
-    if (two_tier) {
-      vmm::FabricConfig fc;
-      fc.machines_per_rack = plan.machines_per_rack;
-      fc.spines = plan.spines;
-      fc.distribute_spines = shape.distribute_spines;
-      tiered = std::make_unique<vmm::HierarchicalFabric>(
-          conductor.shard(0), beds[0]->costs(), fc, &conductor);
-      for (auto& bed : beds) tiered->attach(bed->machine());
-    } else {
-      flat = std::make_unique<vmm::PhysicalSwitch>(
-          conductor.shard(0), beds[0]->costs(),
-          net::Ipv4Cidr(net::Ipv4Address(10, 10, 0, 0), 24), &conductor);
-      for (auto& bed : beds) flat->attach(bed->machine());
-    }
+    for (auto& bed : beds) fabric.attach(bed->machine());
 
     // Every stack in construction order (digest + invariant iteration) and
     // the per-machine stack sets (conntrack GC targets).
@@ -397,10 +386,9 @@ WorldResult run_world(const FuzzPlan& plan, const RunShape& shape,
                 .remove_filter_rules(net::Hook::kForward, "fuzz-noise");
             break;
           case ActionKind::kFdbFlush:
+            // The fabric has no FDB to flush: FabricSwitch forwards on
+            // static MAC bindings (no learning).
             beds[std::size_t(act.machine)]->machine().bridge().fdb().flush();
-            // The two-tier fabric has no FDB to flush: FabricSwitch
-            // forwards on static MAC bindings (no learning).
-            if (flat != nullptr) flat->fabric().fdb().flush();
             break;
           case ActionKind::kConntrackGc:
             for (net::StackBackend* s :
@@ -497,27 +485,22 @@ WorldResult run_world(const FuzzPlan& plan, const RunShape& shape,
       out.strict.add(p + "floods", b.floods());
       out.strict.add(p + "fdb", b.fdb().size());
     }
-    if (flat != nullptr) {
-      out.strict.add("fabric.floods", flat->fabric().floods());
-      out.strict.add("fabric.fdb", flat->fabric().fdb().size());
-    } else {
-      // Per-switch forwarding evidence: uplink_tx pins every ECMP choice,
-      // so a path that moved between paired runs diverges the digest even
-      // if application outcomes happen to agree.
-      auto add_switch = [&out](const std::string& p, net::FabricSwitch& sw) {
-        out.strict.add(p + "arp_proxied", sw.arp_proxied());
-        out.strict.add(p + "unknown_dropped", sw.unknown_unicast_dropped());
-        const auto& tx = sw.uplink_tx();
-        for (std::size_t u = 0; u < tx.size(); ++u) {
-          out.strict.add(p + "uplink" + std::to_string(u), tx[u]);
-        }
-      };
-      for (std::size_t r = 0; r < tiered->rack_count(); ++r) {
-        add_switch("tor" + std::to_string(r) + ".", tiered->tor(r));
+    // Per-switch forwarding evidence: uplink_tx pins every ECMP choice, so
+    // a path that moved between paired runs diverges the digest even if
+    // application outcomes happen to agree.
+    auto add_switch = [&out](const std::string& p, net::FabricSwitch& sw) {
+      out.strict.add(p + "arp_proxied", sw.arp_proxied());
+      out.strict.add(p + "unknown_dropped", sw.unknown_unicast_dropped());
+      const auto& tx = sw.uplink_tx();
+      for (std::size_t u = 0; u < tx.size(); ++u) {
+        out.strict.add(p + "uplink" + std::to_string(u), tx[u]);
       }
-      for (std::size_t s = 0; s < tiered->spine_count(); ++s) {
-        add_switch("spine" + std::to_string(s) + ".", tiered->spine(s));
-      }
+    };
+    for (std::size_t r = 0; r < fabric.rack_count(); ++r) {
+      add_switch("tor" + std::to_string(r) + ".", fabric.tor(r));
+    }
+    for (std::size_t s = 0; s < fabric.spine_count(); ++s) {
+      add_switch("spine" + std::to_string(s) + ".", fabric.spine(s));
     }
     out.strict.add("events_total", conductor.total_events());
     out.strict.add("end_time", std::uint64_t(conductor.now()));

@@ -1,14 +1,14 @@
 // World execution: one FuzzPlan run under one RunShape.
 //
 // run_world() builds the full simulated datacenter a plan describes —
-// conductor, one testbed per machine, the ToR fabric, the flows — drives
+// conductor, the ToR/spine fabric, one testbed per machine, the flows — drives
 // the plan's traffic waves to quiescence, applies the scheduled actions at
 // the drained wave boundaries, and distils the execution into two digests:
 //
 //   strict    every counter the world exposes (per-stack forwarding stats,
 //             netfilter traversals, conntrack sizes, bridge floods, FDB
-//             sizes, flowcache stats, per-flow latencies, engine event
-//             totals, the final clock).  Two runs that must be
+//             sizes, flowcache stats, fabric switch counters, per-flow
+//             latencies, engine event totals, the final clock).  Two runs that must be
 //             bit-identical (same timing model, different execution shape)
 //             compare strict digests.
 //   semantic  application outcomes only (per-flow transactions and
@@ -39,14 +39,6 @@ namespace nestv::fuzz {
 struct RunShape {
   int shards = 1;
   unsigned workers = 1;
-  /// Forces the conductor's scalar-fallback windows instead of the
-  /// per-pair lookahead matrix the world's wires feed it.  Pure execution
-  /// shape: windows change, deliveries must not.
-  bool uniform_window = false;
-  /// Round-robins the fabric's spine tier across shards instead of
-  /// stacking it on shard 0 (FabricConfig::distribute_spines).  Placement
-  /// is invisible in the results by the keyed-delivery contract.
-  bool distribute_spines = true;
   std::uint32_t batch = 1;    ///< CostModel::batch_size
   std::uint32_t napi = 0;     ///< overrides napi_budget when non-zero
   std::optional<sim::Duration> kick;  ///< overrides virtio_kick when set

@@ -129,19 +129,25 @@ void ConnTable::index_insert(const ConnKey& key, std::uint32_t s) {
   index_.insert(ConnKeyHash{}(key), s);
 }
 
+ConnTable::PortProbe ConnTable::port_probe(std::uint64_t pk) const {
+  const std::size_t n = port_keys_.size();
+  std::uint64_t h = pk * 0x9e3779b97f4a7c15ULL;
+  h ^= h >> 29;
+  std::size_t tomb = ~std::size_t{0};
+  for (std::size_t i = h % n;; i = i + 1 == n ? 0 : i + 1) {
+    const std::uint64_t k = port_keys_[i];
+    if (k == pk) return {i, true};
+    if (k == ~0ULL && tomb == ~std::size_t{0}) tomb = i;
+    if (k == 0) return {tomb != ~std::size_t{0} ? tomb : i, false};
+  }
+}
+
 bool ConnTable::port_in_use(L4Proto proto, Ipv4Address ip,
                             std::uint16_t port) {
   if (!ports_built_) ports_build();
   if (port_keys_.empty()) return false;
-  const std::uint64_t key = port_key(proto, ip, port);
-  const std::size_t n = port_keys_.size();
-  std::uint64_t h = key * 0x9e3779b97f4a7c15ULL;
-  h ^= h >> 29;
-  for (std::size_t i = h % n;; i = i + 1 == n ? 0 : i + 1) {
-    const std::uint64_t k = port_keys_[i];
-    if (k == 0) return false;
-    if (k == key) return port_counts_[i] > 0;
-  }
+  const PortProbe p = port_probe(port_key(proto, ip, port));
+  return p.found && port_counts_[p.bucket] > 0;
 }
 
 void ConnTable::port_add(const ConnKey& key) {
@@ -150,45 +156,26 @@ void ConnTable::port_add(const ConnKey& key) {
     port_grow();
   }
   const std::uint64_t pk = port_key(key.proto, key.dst_ip, key.dst_port);
-  const std::size_t n = port_keys_.size();
-  std::uint64_t h = pk * 0x9e3779b97f4a7c15ULL;
-  h ^= h >> 29;
-  std::size_t tomb = ~std::size_t{0};
-  for (std::size_t i = h % n;; i = i + 1 == n ? 0 : i + 1) {
-    const std::uint64_t k = port_keys_[i];
-    if (k == pk) {
-      ++port_counts_[i];
-      return;
-    }
-    if (k == ~0ULL && tomb == ~std::size_t{0}) tomb = i;
-    if (k == 0) {
-      const std::size_t dst = tomb != ~std::size_t{0} ? tomb : i;
-      if (tomb != ~std::size_t{0}) --ports_dead_;
-      port_keys_[dst] = pk;
-      port_counts_[dst] = 1;
-      ++ports_live_;
-      return;
-    }
+  const PortProbe p = port_probe(pk);
+  if (p.found) {
+    ++port_counts_[p.bucket];
+    return;
   }
+  if (port_keys_[p.bucket] == ~0ULL) --ports_dead_;
+  port_keys_[p.bucket] = pk;
+  port_counts_[p.bucket] = 1;
+  ++ports_live_;
 }
 
 void ConnTable::port_remove(const ConnKey& key) {
   if (!ports_built_ || port_keys_.empty()) return;
-  const std::uint64_t pk = port_key(key.proto, key.dst_ip, key.dst_port);
-  const std::size_t n = port_keys_.size();
-  std::uint64_t h = pk * 0x9e3779b97f4a7c15ULL;
-  h ^= h >> 29;
-  for (std::size_t i = h % n;; i = i + 1 == n ? 0 : i + 1) {
-    const std::uint64_t k = port_keys_[i];
-    if (k == 0) return;
-    if (k == pk) {
-      if (port_counts_[i] > 0 && --port_counts_[i] == 0) {
-        port_keys_[i] = ~0ULL;
-        --ports_live_;
-        ++ports_dead_;
-      }
-      return;
-    }
+  const PortProbe p =
+      port_probe(port_key(key.proto, key.dst_ip, key.dst_port));
+  if (!p.found) return;
+  if (port_counts_[p.bucket] > 0 && --port_counts_[p.bucket] == 0) {
+    port_keys_[p.bucket] = ~0ULL;
+    --ports_live_;
+    ++ports_dead_;
   }
 }
 
@@ -207,16 +194,12 @@ void ConnTable::port_grow() {
   for (std::size_t j = 0; j < old_keys.size(); ++j) {
     const std::uint64_t k = old_keys[j];
     if (k == 0 || k == ~0ULL) continue;
-    std::uint64_t h = k * 0x9e3779b97f4a7c15ULL;
-    h ^= h >> 29;
-    for (std::size_t i = h % n;; i = i + 1 == n ? 0 : i + 1) {
-      if (port_keys_[i] == 0) {
-        port_keys_[i] = k;
-        port_counts_[i] = old_counts[j];
-        ++ports_live_;
-        break;
-      }
-    }
+    // Distinct keys into a tombstone-free map: the probe ends at the
+    // first empty bucket, exactly where the key lands.
+    const std::size_t b = port_probe(k).bucket;
+    port_keys_[b] = k;
+    port_counts_[b] = old_counts[j];
+    ++ports_live_;
   }
 }
 

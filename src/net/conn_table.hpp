@@ -144,6 +144,15 @@ class ConnTable {
            (std::uint64_t{port} << 8) | static_cast<std::uint64_t>(proto) |
            (1ULL << 60);  // keep keys nonzero
   }
+  /// Linear probe for packed key `pk` from its hash bucket.  Returns the
+  /// bucket holding `pk`, or — when absent — the bucket an insert takes:
+  /// the first tombstone passed, else the empty bucket that ended the
+  /// probe.  Requires a non-empty map.
+  struct PortProbe {
+    std::size_t bucket;
+    bool found;
+  };
+  [[nodiscard]] PortProbe port_probe(std::uint64_t pk) const;
   void port_add(const ConnKey& key);
   void port_remove(const ConnKey& key);
   void port_grow();

@@ -21,8 +21,7 @@
 // Storage is the shared LruCache (net/slab_table.hpp): 64-byte slots in a
 // chunked slab arena, one open-addressed slot index, and an intrusive LRU
 // list threaded through the slots.  The node-based std::list +
-// std::unordered_map it replaces cost ~2.5x the bytes per cached flow
-// (bench/abl_macro_scale rebuilds that legacy replica and reports both); at
+// std::unordered_map it replaced cost ~2.5x the bytes per cached flow; at
 // the macro scale target (~10^5..10^6 concurrent flows across hundreds of
 // stacks) that footprint is the difference between fitting in cache and
 // not.

@@ -51,9 +51,10 @@
 // recording hook), so attaching a cache there is sound but stays cold —
 // the has_netfilter()==false interplay the tests pin down.
 //
-// Attached-but-disabled is bit-identical to the plain overlay path: every
-// hook is a null/bool guard, no event, charge or RNG draw differs
-// (bench/abl_oncache gates cacheoff_equivalence_max_delta == 0).
+// Attached-but-disabled charges exactly the plain overlay path: every hook
+// is a null/bool guard, no event, charge or RNG draw differs (the tier-1
+// test OncacheScenario.AttachedDisabledPinsSlowPathOutputs pins that
+// path's outputs to the values of the pre-oncache overlay).
 #pragma once
 
 #include <cstdint>

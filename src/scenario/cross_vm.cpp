@@ -15,15 +15,13 @@ const char* to_string(CrossVmMode m) {
 }
 
 CrossVm make_cross_vm(CrossVmMode mode, std::uint16_t service_port,
-                      TestbedConfig config,
-                      OverlayNetwork::OncacheMode oncache_mode) {
+                      TestbedConfig config) {
   CrossVm s;
   s.bed = std::make_unique<Testbed>(config);
   PodSpec spec;
   spec.port = service_port;
   spec.cli = "client";
   spec.srv = "server";
-  spec.oncache = oncache_mode;
   switch (mode) {
     case CrossVmMode::kSameNode:
       // One pod in one VM: the server joins the client's namespace and

@@ -29,12 +29,9 @@ struct CrossVm {
 };
 
 /// Builds the scenario and advances the clock until both containers run.
-/// `oncache_mode` (kOverlay only) selects whether the overlay bridges are
-/// CachedBridge+OnCache (attached, disabled — the default) or the plain
-/// pre-oncache topology; abl_oncache gates the two at delta zero.
-[[nodiscard]] CrossVm make_cross_vm(
-    CrossVmMode mode, std::uint16_t service_port, TestbedConfig config = {},
-    OverlayNetwork::OncacheMode oncache_mode =
-        OverlayNetwork::OncacheMode::kAttached);
+/// kOverlay's ONCache starts disabled (CrossVm::overlay enables it).
+[[nodiscard]] CrossVm make_cross_vm(CrossVmMode mode,
+                                    std::uint16_t service_port,
+                                    TestbedConfig config = {});
 
 }  // namespace nestv::scenario

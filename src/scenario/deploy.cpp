@@ -91,8 +91,7 @@ std::unique_ptr<PodDeployment> deploy_pod(Testbed& bed, PodSpec spec,
   d->srv_vm = &bed.create_vm_with_uplink(s.srv_vm);
   if (s.mode == PodMode::kOverlay) {
     d->overlay = std::make_unique<OverlayNetwork>(
-        bed, net::Ipv4Cidr(net::Ipv4Address(10, 99, 0, 0), 24), s.oncache,
-        s.vni);
+        bed, net::Ipv4Cidr(net::Ipv4Address(10, 99, 0, 0), 24), s.vni);
   }
   const bool two_pods = split && !s.cli_pod.empty();
   container::Pod& first = bed.create_pod(two_pods ? s.cli_pod : s.srv_pod);

@@ -44,7 +44,6 @@ struct PodSpec {
   std::string cli_pod;
   net::StackMode stack_mode = net::StackMode::kFull;
   std::uint32_t vni = 0;  ///< kOverlay: the pair's private overlay
-  OverlayNetwork::OncacheMode oncache = OverlayNetwork::OncacheMode::kAttached;
 };
 
 /// Runs the clock until the predicate holds (Testbed::run_until_ready).

@@ -180,7 +180,14 @@ MacroScaleResult run_macro_scale(const MacroScaleConfig& config) {
       config.max_workers);
   out.worker_threads = conductor.worker_threads();
 
-  // ---- machines, pinned to shards; two-tier fabric over them ----------
+  // ---- two-tier fabric; machines, pinned to shards, under it ----------
+  // The fabric is declared first so it outlives the machines: their host
+  // stacks point into its ext0 ports and its peer-route set.
+  vmm::FabricConfig fc;
+  fc.machines_per_rack = config.machines_per_rack;
+  fc.spines = config.spines;
+  vmm::HierarchicalFabric fabric(conductor.shard(0), config.costs, fc,
+                                 &conductor);
   const int m_count = config.machines;
   const auto machines = static_cast<std::size_t>(m_count);
   // 10.200.x.y/24 VM subnets: distinct per machine, scaling past the
@@ -191,11 +198,6 @@ MacroScaleResult run_macro_scale(const MacroScaleConfig& config) {
                                               std::uint8_t(i % 250), 0),
                              24);
       });
-  vmm::FabricConfig fc;
-  fc.machines_per_rack = config.machines_per_rack;
-  fc.spines = config.spines;
-  vmm::HierarchicalFabric fabric(conductor.shard(0), beds[0]->costs(), fc,
-                                 &conductor);
   for (auto& bed : beds) fabric.attach(bed->machine());
 
   // ---- population sizing: the Google-like trace ------------------------

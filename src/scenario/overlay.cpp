@@ -5,8 +5,8 @@
 namespace nestv::scenario {
 
 OverlayNetwork::OverlayNetwork(Testbed& bed, net::Ipv4Cidr subnet,
-                               OncacheMode oncache, std::uint32_t vni)
-    : bed_(&bed), subnet_(subnet), oncache_mode_(oncache), vni_(vni) {}
+                               std::uint32_t vni)
+    : bed_(&bed), subnet_(subnet), vni_(vni) {}
 
 OverlayNetwork::VmState& OverlayNetwork::state_for(vmm::Vm& vm) {
   auto it = states_.find(&vm);
@@ -17,15 +17,8 @@ OverlayNetwork::VmState& OverlayNetwork::state_for(vmm::Vm& vm) {
   auto& engine = bed_->engine();
   const auto& costs = bed_->costs();
 
-  if (oncache_mode_ == OncacheMode::kAttached) {
-    auto cached = std::make_unique<net::oncache::CachedBridge>(
-        engine, vm.name() + "/br-overlay", costs, /*guest_level=*/true);
-    state->cached_bridge = cached.get();
-    state->bridge = std::move(cached);
-  } else {
-    state->bridge = std::make_unique<net::Bridge>(
-        engine, vm.name() + "/br-overlay", costs, /*guest_level=*/true);
-  }
+  state->bridge = std::make_unique<net::oncache::CachedBridge>(
+      engine, vm.name() + "/br-overlay", costs, /*guest_level=*/true);
   state->bridge->set_cpu(&vm.softirq(), sim::CpuCategory::kSoft);
 
   // The VTEP rides the VM's uplink address.
@@ -38,15 +31,13 @@ OverlayNetwork::VmState& OverlayNetwork::state_for(vmm::Vm& vm) {
   state->vxlan->set_cpu(&vm.softirq(), sim::CpuCategory::kSoft);
   const int vxlan_port = state->bridge->add_port();
   net::Device::connect(*state->vxlan, 0, *state->bridge, vxlan_port);
-  if (state->cached_bridge != nullptr) {
-    state->oncache = std::make_unique<net::oncache::OnCache>(
-        vm.stack(), costs, vni_);
-    state->oncache->set_local_vtep(state->vtep_ip);
-    state->oncache->set_uplink_ifindex(up);
-    state->cached_bridge->attach_oncache(state->oncache.get(), vxlan_port);
-    state->vxlan->set_oncache(state->oncache.get());
-    vm.stack().attach_oncache(state->oncache.get());
-  }
+  state->oncache =
+      std::make_unique<net::oncache::OnCache>(vm.stack(), costs, vni_);
+  state->oncache->set_local_vtep(state->vtep_ip);
+  state->oncache->set_uplink_ifindex(up);
+  state->bridge->attach_oncache(state->oncache.get(), vxlan_port);
+  state->vxlan->set_oncache(state->oncache.get());
+  vm.stack().attach_oncache(state->oncache.get());
   // The overlay guest forwards + encapsulates: same service-time noise as
   // the NAT-forwarding guests (fig 10's variable Overlay latency).
   vm.stack().set_forward_jitter(
@@ -101,7 +92,7 @@ void OverlayNetwork::finalize() {
 void OverlayNetwork::set_oncache_enabled(bool on) {
   for (auto& [vm, state] : states_) {
     (void)vm;
-    if (state->oncache) state->oncache->set_enabled(on);
+    state->oncache->set_enabled(on);
   }
 }
 
@@ -119,7 +110,6 @@ OverlayNetwork::OncacheTotals OverlayNetwork::oncache_totals() const {
   OncacheTotals t;
   for (const auto& [vm, state] : states_) {
     (void)vm;
-    if (!state->oncache) continue;
     t.egress_hits += state->oncache->egress_hits();
     t.ingress_hits += state->oncache->ingress_hits();
     t.invalidations += state->oncache->invalidations();

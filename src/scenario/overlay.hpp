@@ -5,11 +5,9 @@
 // deployment", section 5.1).
 //
 // Each VM's overlay bridge is a net::oncache::CachedBridge wired to a
-// per-VM OnCache (the ONCache-style encap/decap fast path) unless
-// constructed with OncacheMode::kDetached.  The cache starts *disabled*;
-// attached-but-disabled is bit-identical to the detached topology (the
-// bench abl_oncache gates that equivalence at delta 0), and
-// set_oncache_enabled(true) flips the fast path on at runtime.
+// per-VM OnCache (the ONCache-style encap/decap fast path).  The cache
+// starts *disabled* — every frame takes the itemized bridge + VXLAN slow
+// path — and set_oncache_enabled(true) flips the fast path on at runtime.
 #pragma once
 
 #include <map>
@@ -27,14 +25,9 @@ namespace nestv::scenario {
 
 class OverlayNetwork {
  public:
-  /// kAttached wires a CachedBridge + OnCache per VM (cache disabled until
-  /// set_oncache_enabled); kDetached builds the plain pre-oncache topology.
-  enum class OncacheMode { kDetached, kAttached };
-
   OverlayNetwork(Testbed& bed,
                  net::Ipv4Cidr subnet = net::Ipv4Cidr(
                      net::Ipv4Address(10, 99, 0, 0), 24),
-                 OncacheMode oncache = OncacheMode::kAttached,
                  std::uint32_t vni = 0);
 
   struct Attachment {
@@ -51,11 +44,11 @@ class OverlayNetwork {
   /// Call after all fragments are attached.
   void finalize();
 
-  /// Flips the encap/decap fast path on every member VM's cache (no-op
-  /// when constructed kDetached).  Disabling flushes the caches.
+  /// Flips the encap/decap fast path on every member VM's cache.
+  /// Disabling flushes the caches.
   void set_oncache_enabled(bool on);
 
-  /// Per-VM handles (null when the VM is not a member / mode kDetached).
+  /// Per-VM handles (null when the VM is not a member).
   [[nodiscard]] net::oncache::OnCache* oncache_for(vmm::Vm& vm);
   [[nodiscard]] net::VxlanDevice* vxlan_for(vmm::Vm& vm);
 
@@ -72,8 +65,7 @@ class OverlayNetwork {
  private:
   struct VmState {
     vmm::Vm* vm = nullptr;
-    std::unique_ptr<net::Bridge> bridge;
-    net::oncache::CachedBridge* cached_bridge = nullptr;  ///< view of bridge
+    std::unique_ptr<net::oncache::CachedBridge> bridge;
     std::unique_ptr<net::oncache::OnCache> oncache;
     std::unique_ptr<net::VxlanDevice> vxlan;
     std::vector<std::unique_ptr<net::VethPair>> veths;
@@ -88,7 +80,6 @@ class OverlayNetwork {
 
   Testbed* bed_;
   net::Ipv4Cidr subnet_;
-  OncacheMode oncache_mode_;
   std::uint32_t vni_;
   std::map<vmm::Vm*, std::unique_ptr<VmState>> states_;
   std::vector<Member> members_;

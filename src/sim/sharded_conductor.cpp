@@ -164,10 +164,6 @@ void ShardedConductor::note_cross_link(int src, int dst, Duration latency) {
   matrix_.note_link(src, dst, latency);
 }
 
-void ShardedConductor::set_uniform_window(bool uniform) {
-  matrix_.set_uniform(uniform);
-}
-
 void ShardedConductor::post(int src, int dst, TimePoint when,
                             InlineTask&& task) {
   post_keyed(src, dst, when, kUnkeyed, std::move(task));

@@ -143,8 +143,8 @@ class EpochBarrier {
 /// trivial at S <= 64), so bound(t, s) is the minimum latency of *any*
 /// chain of wires from t to s — the soonest an event on t can influence s.
 /// Pairs with no path are unconstrained (kUnreachable).  A matrix with no
-/// links at all (or one forced uniform) reports the scalar fallback for
-/// every off-diagonal pair instead: the classic global-window behaviour.
+/// links at all reports the scalar fallback for every off-diagonal pair
+/// instead: the classic global-window behaviour.
 ///
 /// The mode split is strict on purpose: mixing per-wire entries with a
 /// scalar fallback for unreachable pairs would break the triangle
@@ -166,19 +166,12 @@ class LookaheadMatrix {
   /// ignored — intra-shard traffic never crosses the conductor.
   void note_link(int src, int dst, Duration latency);
 
-  /// Forces the scalar fallback regardless of registered links (fuzz
-  /// execution shapes sample this to keep the legacy window mode covered).
-  void set_uniform(bool uniform) {
-    uniform_ = uniform;
-    finalized_ = false;
-  }
-
   /// Closes the link graph under shortest paths.  Idempotent; cheap to
   /// call again after more note_link()s.
   void finalize();
 
   [[nodiscard]] bool finalized() const { return finalized_; }
-  [[nodiscard]] bool has_links() const { return has_links_ && !uniform_; }
+  [[nodiscard]] bool has_links() const { return has_links_; }
 
   /// Soonest an event executing on shard `src` at time t can affect shard
   /// `dst` (as t + bound).  kUnreachable when no wire chain connects them.
@@ -209,7 +202,6 @@ class LookaheadMatrix {
 
   int shards_;
   Duration scalar_;
-  bool uniform_ = false;
   bool has_links_ = false;
   bool finalized_ = false;
   /// Direct (single-wire) edges as registered; finalize() rebuilds the
@@ -268,11 +260,6 @@ class ShardedConductor {
   /// this for both directions).  Setup-thread only.  The per-pair window
   /// matrix is rebuilt lazily at the next run_until.
   void note_cross_link(int src, int dst, Duration latency);
-
-  /// Forces the uniform scalar window mode even when wires are registered
-  /// (the legacy global-window behaviour; fuzz shapes sample it).
-  /// Setup-thread only.
-  void set_uniform_window(bool uniform);
 
   /// Mails `task` from shard `src` to fire at `when` on shard `dst`.
   /// Callable only from src's worker while src is inside a window (or from

@@ -22,10 +22,9 @@ HierarchicalFabric::HierarchicalFabric(sim::Engine& engine,
     // engine, all cross-rack traffic serializes through that shard (and
     // its neighbours' windows collapse to one spine-link hop).  Keyed
     // wire delivery makes the placement invisible in the results.
-    sim::Engine& home =
-        (config_.distribute_spines && conductor != nullptr)
-            ? conductor->shard(s % conductor->shards())
-            : engine;
+    sim::Engine& home = conductor != nullptr
+                            ? conductor->shard(s % conductor->shards())
+                            : engine;
     // Spine salt offset keeps the (unused today) spine hash domain
     // disjoint from ToR salts should spines ever gain uplink groups.
     spines_.push_back(std::make_unique<net::FabricSwitch>(

@@ -1,32 +1,35 @@
-// Hierarchical inter-host fabric: racks of machines under ToR switches,
-// ToRs meshed through a spine tier.
+// Inter-host fabric: racks of machines under ToR switches, ToRs meshed
+// through a spine tier.
 //
-// PhysicalSwitch (vmm/datacenter.hpp) wires every machine into one flat
-// learning bridge — fine for a handful of hosts, but at macro scale it is
-// both unphysical (one switch with hundreds of ports and a single shared
-// FDB) and a scaling bottleneck (every frame of every machine serializes
-// through one device on one shard).  HierarchicalFabric builds the
-// two-tier Clos topology real datacenters use:
+// The paper's evaluation is single-host (Hostlo is by construction an
+// *intra-host* device: its queues are host-kernel objects), but its
+// derivative-cloud framing is a datacenter of many hosts.
+// HierarchicalFabric builds the two-tier Clos topology real datacenters
+// use:
 //
 //     machine --(fabric_hop_latency)--> ToR --(spine_link_latency)--> spine
 //
 // Each rack's ToR lives on the shard of the rack's first machine, so
-// intra-rack traffic never crosses shards; spines round-robin across the
-// conductor's shards (FabricConfig::distribute_spines; without a conductor
-// they live on the engine given to the constructor).  Cross-rack frames take
+// intra-rack traffic never crosses shards; under a conductor the spines
+// round-robin across its shards (without one they live on the engine given
+// to the constructor).  Cross-rack frames take
 // machine -> ToR -> spine -> ToR -> machine, with the spine chosen per
 // flow by the ToR's deterministic ECMP hash (net/fabric_switch.hpp) —
 // multi-path routing that resolves identically at any shard/worker count.
+// A single rack under one spine is the small-world case: every frame
+// turns around at the one ToR.
 //
 // The conductor lookahead for a fabric built here must be
 // min_link_latency(costs): no cross-machine influence can propagate
 // faster than the shortest fabric link.
 //
-// L3 is the same derivative-cloud plan as PhysicalSwitch: every machine
-// gets an external NIC ("ext0") addressed from the fabric subnet, and each
-// remote machine's VM subnet is routed via that machine's external address
-// (one net::PeerRouteSet per fabric, read by every member's routing
-// table).  ARP for those gateway addresses is answered at the ToR from a
+// L3 is the derivative-cloud plan: every machine gets an external NIC
+// ("ext0") addressed from the fabric subnet, and each remote machine's VM
+// subnet is routed via that machine's external address (one
+// net::PeerRouteSet per fabric, read by every member's routing table).
+// Cross-host pod traffic must then use an overlay (as Docker does) — while
+// Hostlo cannot span hosts, which is exactly the scoping the paper gives
+// it.  ARP for those gateway addresses is answered at the ToR from a
 // fabric-wide directory (proxy ARP); requests never flood the fabric.
 #pragma once
 
@@ -46,21 +49,14 @@ struct FabricConfig {
   net::Ipv4Cidr subnet = net::Ipv4Cidr(net::Ipv4Address(10, 10, 0, 0), 16);
   int machines_per_rack = 16;
   int spines = 2;
-  /// Round-robin spines across conductor shards instead of stacking the
-  /// whole tier on the constructor's engine.  Placement is invisible in
-  /// the results (keyed wire delivery), but hosting every spine on one
-  /// shard turns that shard into a serialization hotspot at scale.  Only
-  /// meaningful with a conductor; the fuzz execution shapes sample both
-  /// settings.
-  bool distribute_spines = true;
 };
 
 class HierarchicalFabric {
  public:
-  /// `engine` hosts the spine tier when spines are not distributed (no
-  /// conductor, or distribute_spines off).  With a `conductor`, machines
-  /// may live on any shard (each rack's ToR joins its first machine's
-  /// shard); without one every device must share `engine`.
+  /// `engine` hosts the spine tier when there is no conductor.  With a
+  /// `conductor`, spines round-robin across its shards and machines may
+  /// live on any shard (each rack's ToR joins its first machine's shard);
+  /// without one every device must share `engine`.
   HierarchicalFabric(sim::Engine& engine, const sim::CostModel& costs,
                      FabricConfig config = {},
                      sim::ShardedConductor* conductor = nullptr);

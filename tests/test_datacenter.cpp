@@ -1,11 +1,10 @@
 // Multi-host fabric tests: routing between machines, cross-host VM and
 // overlay traffic, the intra-host scoping of Hostlo, and the shared
-// peer-route set both fabrics route their members through.
+// peer-route set the fabric routes its members through.
 #include <gtest/gtest.h>
 
 #include "net/bridge.hpp"
 #include "net/vxlan.hpp"
-#include "vmm/datacenter.hpp"
 #include "vmm/fabric.hpp"
 #include "vmm/vmm.hpp"
 
@@ -15,7 +14,7 @@ namespace {
 struct DatacenterFixture : ::testing::Test {
   sim::Engine engine;
   sim::CostModel costs{};
-  vmm::PhysicalSwitch tor{engine, costs};
+  vmm::HierarchicalFabric tor{engine, costs};
   std::unique_ptr<vmm::PhysicalMachine> host_a;
   std::unique_ptr<vmm::PhysicalMachine> host_b;
   std::unique_ptr<vmm::Vmm> vmm_a;
@@ -196,7 +195,7 @@ struct FullMeshFixture : ::testing::Test {
   static constexpr int kMachines = 4;
   sim::Engine engine;
   sim::CostModel costs{};
-  vmm::PhysicalSwitch tor{engine, costs};
+  vmm::HierarchicalFabric tor{engine, costs};
   std::vector<std::unique_ptr<vmm::PhysicalMachine>> hosts;
   std::vector<std::unique_ptr<vmm::Vmm>> vmms;
 
@@ -328,7 +327,7 @@ struct MeshWorld {
 
 template <typename Fabric>
 class MeshRoutes : public ::testing::Test {};
-using Fabrics = ::testing::Types<vmm::PhysicalSwitch, vmm::HierarchicalFabric>;
+using Fabrics = ::testing::Types<vmm::HierarchicalFabric>;
 TYPED_TEST_SUITE(MeshRoutes, Fabrics);
 
 // What the per-host full mesh decided: a member's VM subnet leaves through

@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "scenario/deploy.hpp"
-#include "vmm/datacenter.hpp"
+#include "vmm/fabric.hpp"
 
 namespace nestv::scenario {
 namespace {
@@ -94,14 +94,14 @@ TEST_P(DeployModes, RoundTripOnTestbed) {
 
 TEST_P(DeployModes, RoundTripOnConductor) {
   const sim::CostModel costs;
-  sim::ShardedConductor conductor(2, costs.fabric_hop_latency, 1);
+  sim::ShardedConductor conductor(
+      2, vmm::HierarchicalFabric::min_link_latency(costs), 1);
+  // Declared before the machines: their host stacks point into its ports.
+  vmm::HierarchicalFabric fabric(conductor.shard(0), costs, {}, &conductor);
   const auto beds = make_machines(conductor, 2, 7, costs, [](int i) {
     return net::Ipv4Cidr(net::Ipv4Address(192, 168, std::uint8_t(100 + i), 0),
                          24);
   });
-  vmm::PhysicalSwitch fabric(conductor.shard(0), costs,
-                             net::Ipv4Cidr(net::Ipv4Address(10, 10, 0, 0), 24),
-                             &conductor);
   for (const auto& bed : beds) fabric.attach(bed->machine());
 
   // The pod lives on machine 1; a server pod is dialled from a host

@@ -4,6 +4,7 @@
 
 #include <cstdio>
 
+#include "core/docker_net.hpp"
 #include "net/pcap.hpp"
 #include "net/wire.hpp"
 #include "scenario/testbed.hpp"
@@ -85,20 +86,40 @@ TEST_F(IcmpFixture, PortUnreachableReported) {
 }
 
 TEST_F(IcmpFixture, TtlExceededFromForwarder) {
-  // Reach a pod behind the VM's docker network with a TTL that dies at the
-  // VM: the VM must report time-exceeded.  Craft via a pod + low-ttl probe
-  // is not exposed publicly, so validate the mechanism at the stack level
-  // through the NAT scenario instead: the VM is a forwarder, and the
-  // public API sets ttl=64, so instead assert no spurious errors occur on
-  // the normal path.
-  int errors = 0;
-  bed.machine().stack().set_icmp_error_handler(
-      [&](const net::Packet&) { ++errors; });
-  sim::Duration rtt = 0;
-  bed.machine().stack().ping(vm_ip, 56, [&](sim::Duration d) { rtt = d; });
+  // The VM forwards for the pod behind its docker network.  A pod datagram
+  // for the host whose TTL dies at the VM is dropped there, and the pod
+  // hears time-exceeded from the VM's docker0 gateway address.
+  core::GuestDockerNetwork docker(vm);
+  container::Pod& pod = bed.create_pod("p");
+  container::Pod::Fragment& frag = pod.add_fragment(vm);
+  const auto at = docker.attach(frag, 1448);
+  std::vector<net::Packet> errors;
+  frag.stack->set_icmp_error_handler(
+      [&](const net::Packet& p) { errors.push_back(p); });
+  int got = 0;
+  bed.machine().stack().udp_bind(
+      7, nullptr, [&](const net::NetworkStack::UdpDelivery&) { ++got; });
+
+  net::EthernetFrame f;
+  f.src = frag.stack->iface_mac(at.ifindex);
+  f.dst = vm.stack().iface_mac(vm.stack().ifindex_of("docker0"));
+  f.packet.src_ip = at.ip;
+  f.packet.dst_ip = bed.machine().bridge_ip();
+  f.packet.src_port = 1000;
+  f.packet.dst_port = 7;
+  f.packet.payload_bytes = 64;
+  f.packet.ttl = 1;
+  // Port 1 of docker0 is the pod's veth; the bridge hands the frame to the
+  // VM through its docker0 port backend.
+  docker.bridge().ingress(std::move(f), 1);
   bed.run_for(sim::milliseconds(10));
-  EXPECT_EQ(errors, 0);
-  EXPECT_GT(rtt, 0u);
+
+  EXPECT_EQ(got, 0);
+  EXPECT_EQ(vm.stack().packets_forwarded(), 0u);
+  EXPECT_EQ(vm.stack().icmp_errors_sent(), 1u);
+  ASSERT_EQ(errors.size(), 1u);
+  EXPECT_EQ(errors[0].icmp_type, 11);
+  EXPECT_EQ(errors[0].src_ip, docker.gateway_ip());
 }
 
 // ---- pcap ---------------------------------------------------------------------

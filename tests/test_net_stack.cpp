@@ -261,16 +261,38 @@ TEST_F(ForwardingFixture, RoutesAcrossSubnets) {
 }
 
 TEST_F(ForwardingFixture, TtlExpiresInLoops) {
-  // Send a packet whose TTL is 1: the router must drop it.
+  // TTL is what ends a forwarding loop: each hop takes one, and the hop
+  // that would take the last drops the datagram and reports time-exceeded.
   int got = 0;
   bob.udp_bind(7, nullptr, [&](const NetworkStack::UdpDelivery&) { ++got; });
-  // There's no public API to set TTL on udp_send; use forwarding counter
-  // to assert normal forwarding instead, then validate drop counting via
-  // the unroutable-destination case below.
-  alice.udp_send(ip_a, 1000, Ipv4Address(203, 0, 113, 9), 7, 64, nullptr);
-  engine.run();
-  EXPECT_EQ(got, 0);
-  EXPECT_GT(router.packets_dropped(), 0u);  // no route to TEST-NET-3
+  std::vector<Packet> errors;
+  alice.set_icmp_error_handler([&](const Packet& p) { errors.push_back(p); });
+  auto alice_to_bob = [this](std::uint8_t ttl) {
+    EthernetFrame f;
+    f.src = MacAddress::local_from_id(11);
+    f.dst = MacAddress::local_from_id(12);
+    f.packet.src_ip = ip_a;
+    f.packet.dst_ip = ip_b;
+    f.packet.src_port = 1000;
+    f.packet.dst_port = 7;
+    f.packet.payload_bytes = 64;
+    f.packet.ttl = ttl;
+    pr1.ingress(std::move(f), 0);
+    engine.run();
+  };
+  alice_to_bob(2);  // one hop left after the router: delivered
+  EXPECT_EQ(got, 1);
+  EXPECT_EQ(router.packets_forwarded(), 1u);
+  const std::uint64_t dropped = router.packets_dropped();
+  alice_to_bob(1);  // dies at the router
+  EXPECT_EQ(got, 1);
+  EXPECT_EQ(router.packets_forwarded(), 1u);
+  EXPECT_EQ(router.packets_dropped(), dropped + 1);
+  EXPECT_EQ(router.icmp_errors_sent(), 1u);
+  ASSERT_EQ(errors.size(), 1u);
+  EXPECT_EQ(errors[0].icmp_type, 11);  // time exceeded
+  EXPECT_EQ(errors[0].icmp_code, 0);   // in transit
+  EXPECT_EQ(errors[0].src_ip, ip_r1);
 }
 
 // The router is multi-homed (eth0 on 10.0.1/24, eth1 on 10.0.2/24): its

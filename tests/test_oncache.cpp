@@ -27,7 +27,6 @@ using namespace nestv;
 using net::oncache::CachedBridge;
 using net::oncache::OnCache;
 using scenario::CrossVmMode;
-using scenario::OverlayNetwork;
 
 const sim::CostModel kCosts{};
 constexpr std::uint32_t kVni = 7;
@@ -380,42 +379,51 @@ TEST(Oncache, FastPathStackHostedVtepWorksButStaysCold) {
 
 // ---- scenario level ------------------------------------------------------
 
-struct RrOutcome {
+struct OverlayOutcome {
   std::uint64_t transactions = 0;
+  double mean_latency_us = 0.0;
+  std::uint64_t stream_bytes = 0;
+  std::uint64_t events = 0;
   std::int64_t pool_delta = 0;
 };
 
-RrOutcome run_overlay_rr(OverlayNetwork::OncacheMode mode, bool enable) {
+/// Cross-VM overlay at seed 7: 5 ms of 256 B UDP RR, then 5 ms of 1280 B
+/// TCP stream, with the ONCache fast path on or off.
+OverlayOutcome run_overlay(bool enable) {
   const std::int64_t pool_before = net::PacketPool::live_nodes();
-  RrOutcome out;
+  OverlayOutcome out;
   {
     scenario::TestbedConfig config;
     config.seed = 7;
-    auto s = scenario::make_cross_vm(CrossVmMode::kOverlay, 6001, config,
-                                     mode);
+    auto s = scenario::make_cross_vm(CrossVmMode::kOverlay, 6001, config);
     if (enable) s.overlay->set_oncache_enabled(true);
     workload::Netperf np(s.bed->engine(), s.client, s.server, 6001);
-    out.transactions = np.run_udp_rr(256, sim::milliseconds(5)).transactions;
+    const auto rr = np.run_udp_rr(256, sim::milliseconds(5));
+    const auto st = np.run_tcp_stream(1280, sim::milliseconds(5));
+    out.transactions = rr.transactions;
+    out.mean_latency_us = rr.mean_latency_us;
+    out.stream_bytes = st.bytes_delivered;
+    out.events = s.bed->engine().events_executed();
   }
   out.pool_delta = net::PacketPool::live_nodes() - pool_before;
   return out;
 }
 
-TEST(OncacheScenario, AttachedDisabledMatchesDetached) {
-  const auto detached =
-      run_overlay_rr(OverlayNetwork::OncacheMode::kDetached, false);
-  const auto attached =
-      run_overlay_rr(OverlayNetwork::OncacheMode::kAttached, false);
-  EXPECT_GT(detached.transactions, 0u);
-  // Attached-but-disabled is the same simulation (abl_oncache gates the
-  // full point set at delta zero; here the transaction count).
-  EXPECT_EQ(attached.transactions, detached.transactions);
+TEST(OncacheScenario, AttachedDisabledPinsSlowPathOutputs) {
+  // A disabled cache must leave the itemized bridge + VXLAN path exactly
+  // as it was before the cache existed.  These are that path's outputs:
+  // the plain CachedBridge-free overlay produced the same four values, bit
+  // for bit (the mean latency is 5014.77 us summed over 143 transactions).
+  const auto off = run_overlay(false);
+  EXPECT_EQ(off.transactions, 143u);
+  EXPECT_EQ(off.mean_latency_us, 35.068321678321752);
+  EXPECT_EQ(off.stream_bytes, 1817072u);
+  EXPECT_EQ(off.events, 39308u);
 }
 
 TEST(OncacheScenario, EnabledSpeedsUpAndCounts) {
-  const auto off =
-      run_overlay_rr(OverlayNetwork::OncacheMode::kAttached, false);
-  const auto on = run_overlay_rr(OverlayNetwork::OncacheMode::kAttached, true);
+  const auto off = run_overlay(false);
+  const auto on = run_overlay(true);
   // Closed-loop RR: the cached path is never slower.
   EXPECT_GE(on.transactions, off.transactions);
   EXPECT_GT(on.transactions, 0u);
@@ -461,15 +469,10 @@ TEST(OncacheScenario, MacroScaleOverlayMixIsShardInvariant) {
 }
 
 TEST(OncacheScenario, NoPacketPoolLeakAcrossTeardown) {
-  for (const auto mode : {OverlayNetwork::OncacheMode::kDetached,
-                          OverlayNetwork::OncacheMode::kAttached}) {
-    for (const bool enable : {false, true}) {
-      if (mode == OverlayNetwork::OncacheMode::kDetached && enable) continue;
-      const auto r = run_overlay_rr(mode, enable);
-      EXPECT_GT(r.transactions, 0u);
-      EXPECT_EQ(r.pool_delta, 0) << "mode=" << int(mode)
-                                 << " enabled=" << enable;
-    }
+  for (const bool enable : {false, true}) {
+    const auto r = run_overlay(enable);
+    EXPECT_GT(r.transactions, 0u);
+    EXPECT_EQ(r.pool_delta, 0) << "enabled=" << enable;
   }
 }
 

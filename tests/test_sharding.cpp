@@ -192,17 +192,23 @@ TEST(LookaheadMatrix, IdleShardsImposeNoConstraint) {
 }
 
 TEST(LookaheadMatrix, UniformModeFallsBackToScalar) {
+  // Two shards and no wires (a world of direct post() users): every pair
+  // gets the scalar lookahead, every self-pair the scalar round trip.
   sim::LookaheadMatrix m(2, 1000);
-  m.note_link(0, 1, 50000);
-  m.note_link(1, 0, 50000);
-  m.set_uniform(true);
   m.finalize();
   EXPECT_FALSE(m.has_links());
   EXPECT_EQ(m.bound(0, 1), 1000u);
+  EXPECT_EQ(m.bound(1, 0), 1000u);
   EXPECT_EQ(m.bound(0, 0), 2000u);
-  // Flipping uniform off restores the closure after re-finalizing.
-  m.set_uniform(false);
+  // Shard 0 is capped by its own round trip, shard 1 by shard 0's reach.
+  const sim::TimePoint next[] = {5000, 7000};
+  EXPECT_EQ(m.window_end(0, next, 424242), 5000u + 2000u - 1u);
+  EXPECT_EQ(m.window_end(1, next, 424242), 5000u + 1000u - 1u);
+  // The first wire switches the matrix to its closure.
+  m.note_link(0, 1, 50000);
+  m.note_link(1, 0, 50000);
   m.finalize();
+  EXPECT_TRUE(m.has_links());
   EXPECT_EQ(m.bound(0, 1), 50000u);
 }
 
@@ -241,10 +247,11 @@ TEST(EpochBarrier, SixteenWorkerContentionStress) {
 // ---- per-pair windows through the conductor -----------------------------
 
 TEST(ShardedConductor, PerPairLookaheadWidensWindowsOverScalar) {
-  // Two busy shards joined by slow 4000ns wires.  With the scalar window
-  // (500ns) every epoch advances ~500ns; with the per-pair matrix the
-  // window stretches to the wire latency.  Same deliveries either way.
-  auto run = [](bool uniform) {
+  // Two busy shards.  Unwired, the conductor runs the scalar window
+  // (500ns) and every epoch advances ~500ns; joined by slow 4000ns wires,
+  // the per-pair matrix stretches the window to the wire latency.  Same
+  // deliveries either way.
+  auto run = [](bool wired) {
     struct Ticker {
       sim::Engine* e = nullptr;
       sim::TimePoint limit = 0;
@@ -257,9 +264,10 @@ TEST(ShardedConductor, PerPairLookaheadWidensWindowsOverScalar) {
       }
     };
     sim::ShardedConductor c(2, 500, 1);
-    c.note_cross_link(0, 1, 4000);
-    c.note_cross_link(1, 0, 4000);
-    c.set_uniform_window(uniform);
+    if (wired) {
+      c.note_cross_link(0, 1, 4000);
+      c.note_cross_link(1, 0, 4000);
+    }
     Ticker t0{&c.shard(0), 20000};
     Ticker t1{&c.shard(1), 20000};
     t0.arm();
@@ -273,8 +281,8 @@ TEST(ShardedConductor, PerPairLookaheadWidensWindowsOverScalar) {
     c.run_until(20000);
     return std::tuple(c.epochs(), t0.count + t1.count, fired);
   };
-  const auto [epochs_pairs, ticks_pairs, fired_pairs] = run(false);
-  const auto [epochs_scalar, ticks_scalar, fired_scalar] = run(true);
+  const auto [epochs_pairs, ticks_pairs, fired_pairs] = run(true);
+  const auto [epochs_scalar, ticks_scalar, fired_scalar] = run(false);
   EXPECT_EQ(ticks_pairs, ticks_scalar);
   ASSERT_EQ(fired_pairs, fired_scalar);
   ASSERT_EQ(fired_pairs.size(), 1u);
@@ -312,8 +320,7 @@ TEST(ShardedMacro, ProducesTraffic) {
 TEST(ShardedMacro, MacroSmokeTopologyBitIdenticalAcrossShards) {
   // The macro-scale topology exercises the whole conductor at once:
   // note_cross_link-fed per-pair windows (fabric hop + spine links),
-  // distributed spine hosting (FabricConfig::distribute_spines defaults
-  // on), and the fused epoch loop.  All of it must be invisible in the
+  // spines round-robined across shards, and the fused epoch loop.  All of it must be invisible in the
   // simulated outputs.
   const auto base = scenario::simulated_outputs(run_macro_smoke(1, 1));
   const auto sharded = run_macro_smoke(4, 4);
