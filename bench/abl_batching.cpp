@@ -52,7 +52,7 @@ bench::MicroPoint batch_point(Path path, std::uint32_t budget,
       return bench::micro_point(scenario::ServerMode::kBrFusion, msg_bytes,
                                 seed, rr_window, stream_window, config);
     case Path::kHostlo:
-      return bench::cross_point(scenario::CrossVmMode::kHostlo, msg_bytes,
+      return bench::micro_point(scenario::CrossVmMode::kHostlo, msg_bytes,
                                 seed, rr_window, stream_window, config);
   }
   return {};
@@ -207,7 +207,7 @@ int main(int argc, char** argv) {
                                    sim::milliseconds(200), cfg);
         break;
       case Path::kHostlo:
-        knobs = bench::cross_point(scenario::CrossVmMode::kHostlo, 1280,
+        knobs = bench::micro_point(scenario::CrossVmMode::kHostlo, 1280,
                                    seed, sim::milliseconds(150),
                                    sim::milliseconds(200), cfg);
         break;

@@ -28,7 +28,7 @@ PairResult run_mempipe(std::uint64_t seed) {
   scenario::Testbed bed(config);
   vmm::Vm& vm1 = bed.create_vm_with_uplink("vm1");
   vmm::Vm& vm2 = bed.create_vm_with_uplink("vm2");
-  vmm::MemPipe pipe(vm1, vm2, "mp0");
+  vmm::MemPipe pipe(vm1, vm2);
 
   container::Pod& pod = bed.create_pod("pod");
   auto& fa = pod.add_fragment(vm1);

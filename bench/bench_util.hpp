@@ -16,6 +16,7 @@
 #include <cstdlib>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "bench_args.hpp"
@@ -188,38 +189,27 @@ struct MicroPoint {
   DatapathStats stats;
 };
 
-/// One Netperf point (UDP_RR + TCP_STREAM) on a single-server scenario.
-inline MicroPoint micro_point(scenario::ServerMode mode,
-                              std::uint32_t msg_bytes, std::uint64_t seed,
-                              sim::Duration rr_window = sim::milliseconds(150),
-                              sim::Duration stream_window =
-                                  sim::milliseconds(200),
-                              scenario::TestbedConfig config = {}) {
+/// One Netperf point (UDP_RR + TCP_STREAM): on a single-server scenario
+/// serving on port 5001 for a ServerMode, on a cross-VM one (fig 10)
+/// serving on 6001 for a CrossVmMode.
+template <typename Mode>
+MicroPoint micro_point(Mode mode, std::uint32_t msg_bytes,
+                       std::uint64_t seed,
+                       sim::Duration rr_window = sim::milliseconds(150),
+                       sim::Duration stream_window = sim::milliseconds(200),
+                       scenario::TestbedConfig config = {}) {
+  constexpr bool kSingle = std::is_same_v<Mode, scenario::ServerMode>;
+  constexpr std::uint16_t kPort = kSingle ? 5001 : 6001;
   config.seed = seed;
   const StatScope scope;
-  auto s = scenario::make_single_server(mode, 5001, config);
-  workload::Netperf np(s.bed->engine(), s.client, s.server, 5001);
-  const auto rr = np.run_udp_rr(msg_bytes, rr_window);
-  const auto st = np.run_tcp_stream(msg_bytes, stream_window);
-  return {msg_bytes,
-          st.throughput_mbps,
-          rr.mean_latency_us,
-          rr.stddev_latency_us,
-          rr.transactions,
-          scope.finish(s.bed->engine(), netperf_packets(rr, st, msg_bytes))};
-}
-
-/// One Netperf point on a cross-VM scenario (fig 10).
-inline MicroPoint cross_point(scenario::CrossVmMode mode,
-                              std::uint32_t msg_bytes, std::uint64_t seed,
-                              sim::Duration rr_window = sim::milliseconds(150),
-                              sim::Duration stream_window =
-                                  sim::milliseconds(200),
-                              scenario::TestbedConfig config = {}) {
-  config.seed = seed;
-  const StatScope scope;
-  auto s = scenario::make_cross_vm(mode, 6001, config);
-  workload::Netperf np(s.bed->engine(), s.client, s.server, 6001);
+  auto s = [&] {
+    if constexpr (kSingle) {
+      return scenario::make_single_server(mode, kPort, config);
+    } else {
+      return scenario::make_cross_vm(mode, kPort, config);
+    }
+  }();
+  workload::Netperf np(s.bed->engine(), s.client, s.server, kPort);
   const auto rr = np.run_udp_rr(msg_bytes, rr_window);
   const auto st = np.run_tcp_stream(msg_bytes, stream_window);
   return {msg_bytes,

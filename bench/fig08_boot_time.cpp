@@ -32,8 +32,7 @@ std::vector<double> boot_samples(bool brfusion, std::uint64_t seed,
     sim::Duration boot = 0;
     // append(): GCC 12 reports a false -Wrestrict on "c" + string.
     bed.runtime_for(vm).create_container(
-        frag, container::Image{"srv"},
-        std::string("c").append(std::to_string(i)),
+        frag, std::string("c").append(std::to_string(i)),
         cni.attach_fn(opts),
         [&](container::Container&, sim::Duration d) {
           done = true;

@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
   }
   const auto points =
       bench::parallel_sweep(inputs, args.jobs, [seed](const Input& in) {
-        return bench::cross_point(in.mode, in.size, seed);
+        return bench::micro_point(in.mode, in.size, seed);
       });
 
   std::printf("fig 10: Hostlo micro-benchmark overhead (cross-VM pod)\n");

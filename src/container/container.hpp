@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <string>
 
-#include "container/image.hpp"
 #include "sim/resource.hpp"
 #include "sim/time.hpp"
 
@@ -19,15 +18,11 @@ enum class ContainerState : std::uint8_t {
   kStopped,
 };
 
-[[nodiscard]] const char* to_string(ContainerState s);
-
 class Container {
  public:
-  Container(std::string name, Image image)
-      : name_(std::move(name)), image_(std::move(image)) {}
+  explicit Container(std::string name) : name_(std::move(name)) {}
 
   [[nodiscard]] const std::string& name() const { return name_; }
-  [[nodiscard]] const Image& image() const { return image_; }
   [[nodiscard]] ContainerState state() const { return state_; }
 
   /// The guest core running this container's process.
@@ -51,7 +46,6 @@ class Container {
 
  private:
   std::string name_;
-  Image image_;
   ContainerState state_ = ContainerState::kCreated;
   sim::SerialResource* app_core_ = nullptr;
   sim::TimePoint started_at_ = 0;

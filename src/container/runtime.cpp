@@ -4,26 +4,15 @@
 
 namespace nestv::container {
 
-const char* to_string(ContainerState s) {
-  switch (s) {
-    case ContainerState::kCreated: return "created";
-    case ContainerState::kStarting: return "starting";
-    case ContainerState::kRunning: return "running";
-    case ContainerState::kStopped: return "stopped";
-  }
-  return "?";
-}
-
 Runtime::Runtime(vmm::Vm& vm, sim::Rng rng, BootTimingModel timing)
     : vm_(&vm), rng_(rng), timing_(timing) {}
 
 void Runtime::create_container(
-    Pod::Fragment& fragment, Image image, const std::string& name,
-    AttachFn attach, std::function<void(Container&, sim::Duration)> done) {
-  ++created_;
+    Pod::Fragment& fragment, const std::string& name, AttachFn attach,
+    std::function<void(Container&, sim::Duration)> done) {
   auto& engine = vm_->host().engine();
 
-  auto container = std::make_unique<Container>(name, std::move(image));
+  auto container = std::make_unique<Container>(name);
   Container* c = container.get();
   c->set_app_core(&vm_->make_app_core(name));
   fragment.containers.push_back(std::move(container));

@@ -13,7 +13,6 @@
 
 #include "container/boot.hpp"
 #include "container/container.hpp"
-#include "container/image.hpp"
 #include "container/pod.hpp"
 #include "sim/rng.hpp"
 #include "vmm/vm.hpp"
@@ -39,19 +38,16 @@ class Runtime {
   /// Creates and boots a container inside `fragment`.  `done` fires when
   /// the container has sent its first TCP message (state kRunning), with
   /// the measured boot duration.
-  void create_container(
-      Pod::Fragment& fragment, Image image, const std::string& name,
-      AttachFn attach,
-      std::function<void(Container&, sim::Duration)> done);
+  void create_container(Pod::Fragment& fragment, const std::string& name,
+                        AttachFn attach,
+                        std::function<void(Container&, sim::Duration)> done);
 
   [[nodiscard]] vmm::Vm& vm() { return *vm_; }
-  [[nodiscard]] std::uint64_t containers_created() const { return created_; }
 
  private:
   vmm::Vm* vm_;
   sim::Rng rng_;
   BootTimingModel timing_;
-  std::uint64_t created_ = 0;
 };
 
 }  // namespace nestv::container

@@ -148,7 +148,6 @@ HostloCni::HostloCni(OrchVmmChannel& channel) : channel_(&channel) {}
 void HostloCni::attach_pod(
     container::Pod& pod,
     std::function<void(std::vector<EndpointInfo>)> done) {
-  ++pods_;
   // A link-local /24 per pod for the shared localhost (the pod's private
   // loopback domain; see DESIGN.md on the 127/8 substitution).
   const net::Ipv4Cidr pod_subnet(

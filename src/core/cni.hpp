@@ -36,7 +36,6 @@ class Cni {
   };
 
   virtual ~Cni() = default;
-  [[nodiscard]] virtual const char* cni_name() const = 0;
 
   virtual void attach(
       container::Pod::Fragment& fragment, const Options& options,
@@ -56,7 +55,6 @@ class BridgeNatCni : public Cni {
  public:
   BridgeNatCni(sim::Rng rng, container::BootTimingModel timing = {});
 
-  [[nodiscard]] const char* cni_name() const override { return "bridge-nat"; }
 
   void attach(container::Pod::Fragment& fragment, const Options& options,
               std::function<void(container::Runtime::AttachOutcome)> done)
@@ -79,9 +77,6 @@ class FlowCacheCni : public BridgeNatCni {
  public:
   using BridgeNatCni::BridgeNatCni;
 
-  [[nodiscard]] const char* cni_name() const override {
-    return "bridge-nat-flowcache";
-  }
 
   void attach(container::Pod::Fragment& fragment, const Options& options,
               std::function<void(container::Runtime::AttachOutcome)> done)
@@ -96,7 +91,6 @@ class BrFusionCni : public Cni {
   BrFusionCni(OrchVmmChannel& channel, sim::Rng rng,
               container::BootTimingModel timing = {});
 
-  [[nodiscard]] const char* cni_name() const override { return "brfusion"; }
 
   void attach(container::Pod::Fragment& fragment, const Options& options,
               std::function<void(container::Runtime::AttachOutcome)> done)
@@ -132,11 +126,8 @@ class HostloCni {
   void attach_pod(container::Pod& pod,
                   std::function<void(std::vector<EndpointInfo>)> done);
 
-  [[nodiscard]] std::uint64_t pods_attached() const { return pods_; }
-
  private:
   OrchVmmChannel* channel_;
-  std::uint64_t pods_ = 0;
   std::uint8_t next_pod_subnet_ = 1;
 };
 

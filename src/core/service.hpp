@@ -46,7 +46,6 @@ class ServiceRegistry {
 
   [[nodiscard]] const Service* find(const std::string& name) const;
   [[nodiscard]] std::size_t service_count() const { return services_.size(); }
-  [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
 
  private:
   void program_all();

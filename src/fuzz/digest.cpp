@@ -1,13 +1,8 @@
 #include "fuzz/digest.hpp"
 
-#include <bit>
 #include <sstream>
 
 namespace nestv::fuzz {
-
-void Digest::add_f64(std::string name, double value) {
-  entries_.emplace_back(std::move(name), std::bit_cast<std::uint64_t>(value));
-}
 
 std::uint64_t Digest::hash() const {
   std::uint64_t h = 0xcbf29ce484222325ULL;

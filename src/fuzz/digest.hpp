@@ -24,12 +24,6 @@ class Digest {
   void add(std::string name, std::uint64_t value) {
     entries_.emplace_back(std::move(name), value);
   }
-  void add_i64(std::string name, std::int64_t value) {
-    entries_.emplace_back(std::move(name),
-                          static_cast<std::uint64_t>(value));
-  }
-  /// Bit-exact double entry.
-  void add_f64(std::string name, double value);
 
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
   [[nodiscard]] bool empty() const { return entries_.empty(); }

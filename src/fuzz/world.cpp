@@ -42,11 +42,7 @@ struct RrFlow {
 };
 
 void bind_rr(const std::shared_ptr<RrFlow>& d) {
-  d->srv.stack->udp_bind(
-      d->srv_port, d->srv.app, [d](net::StackBackend::UdpDelivery& del) {
-        d->srv.stack->udp_send(d->srv.local_ip, d->srv_port, del.src_ip,
-                               del.src_port, d->bytes, d->srv.app);
-      });
+  scenario::bind_udp_echo(d->srv, d->srv_port);
   d->cli.stack->udp_bind(
       d->cli_port, d->cli.app, [d](net::StackBackend::UdpDelivery&) {
         d->latency_ns_sum += d->cli_engine->now() - d->issued_at;

@@ -27,7 +27,6 @@ class InterfaceBackend {
   /// real bursts.  Backends that never batch ignore it and keep using the
   /// per-frame handler.
   virtual void set_rx_train(RxTrainHandler handler) { (void)handler; }
-  [[nodiscard]] virtual const std::string& backend_name() const = 0;
 };
 
 /// A plain device-graph attachment (host NIC, veth container end, ...).
@@ -45,10 +44,6 @@ class PortBackend : public InterfaceBackend, public Device {
   void set_rx_train(RxTrainHandler handler) override {
     rx_train_ = std::move(handler);
   }
-  [[nodiscard]] const std::string& backend_name() const override {
-    return Device::name();
-  }
-
   void ingress(EthernetFrame&& frame, int port) override {
     (void)port;
     if (rx_) rx_(std::move(frame));

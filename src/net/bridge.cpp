@@ -15,10 +15,6 @@ int Fdb::lookup(MacAddress mac, sim::TimePoint now) const {
   return it->second.port;
 }
 
-void Fdb::forget(MacAddress mac) {
-  if (table_.erase(mac) > 0 && on_evict_) on_evict_(mac);
-}
-
 std::size_t Fdb::expire(sim::TimePoint now) {
   std::size_t evicted = 0;
   for (auto it = table_.begin(); it != table_.end();) {

@@ -17,11 +17,10 @@ class Fdb {
   void learn(MacAddress mac, int port, sim::TimePoint now);
   /// Returns the port for `mac`, or -1 when unknown/expired.
   [[nodiscard]] int lookup(MacAddress mac, sim::TimePoint now) const;
-  void forget(MacAddress mac);
   [[nodiscard]] std::size_t size() const { return table_.size(); }
 
-  /// Notified with each MAC that leaves the table (ageing sweep or
-  /// forget()); flow caches holding that MAC as a next hop subscribe so
+  /// Notified with each MAC that leaves the table (ageing sweep or full
+  /// flush); flow caches holding that MAC as a next hop subscribe so
   /// an expired L2 entry flushes exactly the flows switched through it.
   void set_eviction_listener(std::function<void(MacAddress)> l) {
     on_evict_ = std::move(l);

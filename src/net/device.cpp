@@ -27,13 +27,6 @@ void Device::connect(Device& a, int pa, Device& b, int pb) {
   b.ports_[static_cast<std::size_t>(pb)] = PortSlot{&a, pa};
 }
 
-std::pair<int, int> Device::link(Device& a, Device& b) {
-  const int pa = a.add_port();
-  const int pb = b.add_port();
-  connect(a, pa, b, pb);
-  return {pa, pb};
-}
-
 void Device::connect_wire(sim::ShardedConductor* conductor, Device& a,
                           int pa, Device& b, int pb,
                           sim::Duration wire_latency) {

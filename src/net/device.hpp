@@ -44,10 +44,6 @@ class Device {
   /// Wires port `pa` of `a` to port `pb` of `b`, bidirectionally.
   static void connect(Device& a, int pa, Device& b, int pb);
 
-  /// Convenience: adds a fresh port on both devices and wires them.
-  /// Returns {port on a, port on b}.
-  static std::pair<int, int> link(Device& a, Device& b);
-
   /// Wires a fabric link: a physical wire with its own fixed latency that
   /// never coalesces frames (the NAPI-style burst joining models virtio
   /// rings, not a cut-through switch wire).  When `conductor` is non-null

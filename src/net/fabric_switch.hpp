@@ -82,7 +82,6 @@ class FabricSwitch : public Device {
   [[nodiscard]] std::uint64_t unknown_unicast_dropped() const {
     return unknown_dropped_;
   }
-  [[nodiscard]] std::size_t bound_macs() const { return mac_port_.size(); }
 
  private:
   void forward(EthernetFrame&& frame, int ingress_port);

@@ -76,10 +76,6 @@ ConnKey Netfilter::key_of(const Packet& p) {
   return ConnKey{p.src_ip, p.dst_ip, p.src_port, p.dst_port, p.proto};
 }
 
-const ConnEntry* Netfilter::find_conn(const ConnKey& k) const {
-  return conns_.find(k);
-}
-
 ConnTable::Ref Netfilter::conntrack_lookup(const Packet& p) {
   if (p.ct_id != 0) {
     const ConnTable::Ref r = conns_.find_id(p.ct_id);

@@ -150,7 +150,6 @@ class Netfilter {
   /// tests asserting the nested path runs 2x the hook count.
   [[nodiscard]] std::uint64_t hook_traversals() const { return traversals_; }
   [[nodiscard]] std::size_t conntrack_size() const { return conns_.size(); }
-  [[nodiscard]] const ConnEntry* find_conn(const ConnKey& k) const;
   /// True while connection `id` is tracked (fast-path liveness check).
   [[nodiscard]] bool conn_alive(std::uint64_t id) const {
     return conns_.alive(id);

@@ -12,7 +12,7 @@ void CachedBridge::attach_oncache(OnCache* cache, int vxlan_port) {
   cache_ = cache;
   vxlan_port_ = vxlan_port;
   cache_->set_bridge(this);
-  // Overlay FDB eviction (ageing sweep, forget, full flush) drops the
+  // Overlay FDB eviction (ageing sweep, full flush) drops the
   // cached paths switched through the evicted MAC, in both directions.
   fdb().set_eviction_listener(
       [cache](MacAddress mac) { cache->invalidate_inner_mac(mac); });

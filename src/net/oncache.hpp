@@ -296,7 +296,6 @@ class OnCache {
     return egress_.state_bytes() + ingress_.state_bytes();
   }
   [[nodiscard]] const EgressCache& egress_cache() const { return egress_; }
-  [[nodiscard]] const IngressCache& ingress_cache() const { return ingress_; }
 
   [[nodiscard]] StackBackend& stack() { return *stack_; }
   [[nodiscard]] const sim::CostModel& costs() const { return *costs_; }

@@ -65,20 +65,6 @@ void RoutingTable::index_add(std::size_t i) {
   }
 }
 
-std::size_t RoutingTable::remove(Ipv4Cidr prefix) {
-  const auto it = std::remove_if(
-      routes_.begin(), routes_.end(),
-      [prefix](const Entry& e) { return e.route.prefix == prefix; });
-  const auto removed = static_cast<std::size_t>(routes_.end() - it);
-  routes_.erase(it, routes_.end());
-  if (removed > 0) {
-    index_.clear();  // surviving ordinals shifted
-    for (std::size_t i = 0; i < routes_.size(); ++i) index_add(i);
-    ++generation_;
-  }
-  return removed;
-}
-
 void RoutingTable::use_peers(const PeerRouteSet& peers, std::uint32_t self,
                              int ifindex) {
   peers_ = &peers;

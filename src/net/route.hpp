@@ -54,10 +54,6 @@ class PrefixIndex {
   [[nodiscard]] const std::uint32_t* find(int len, Ipv4Address dst) const;
   /// Distinct prefix lengths present, longest first.
   [[nodiscard]] const std::vector<int>& lens() const { return lens_; }
-  void clear() {
-    map_.clear();
-    lens_.clear();
-  }
 
  private:
   std::unordered_map<std::uint64_t, std::uint32_t> map_;
@@ -94,10 +90,6 @@ class RoutingTable {
   void add_default(Ipv4Address gateway, int ifindex) {
     add(Route{Ipv4Cidr(Ipv4Address(0), 0), ifindex, gateway, 0});
   }
-  /// Removes every own route with this exact prefix; returns the count.
-  /// Peer routes are the fabric's and stay.
-  std::size_t remove(Ipv4Cidr prefix);
-
   /// Makes this table a member of `peers` as member `self`: every other
   /// member's subnet is routed out of `ifindex` via that member's gateway
   /// at metric 0, as if add() had installed it when the later of this

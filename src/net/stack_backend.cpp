@@ -24,7 +24,6 @@ const char* to_string(StackMode mode) {
   switch (mode) {
     case StackMode::kFull: return "full";
     case StackMode::kFastPath: return "fastpath";
-    case StackMode::kService: return "service";
   }
   return "?";
 }
@@ -524,18 +523,11 @@ std::unique_ptr<StackBackend> make_stack(StackMode mode, sim::Engine& engine,
                                          std::string name,
                                          const sim::CostModel& costs,
                                          sim::SerialResource* softirq) {
-  switch (mode) {
-    case StackMode::kFull:
-      return std::make_unique<FullStack>(engine, std::move(name), costs,
-                                         softirq);
-    case StackMode::kFastPath:
-      return std::make_unique<FastPathStack>(engine, std::move(name), costs,
-                                             softirq);
-    case StackMode::kService:
-      break;
+  if (mode == StackMode::kFastPath) {
+    return std::make_unique<FastPathStack>(engine, std::move(name), costs,
+                                           softirq);
   }
-  throw std::invalid_argument(
-      "make_stack: service-hosted stacks are created by their StackService");
+  return std::make_unique<FullStack>(engine, std::move(name), costs, softirq);
 }
 
 }  // namespace nestv::net

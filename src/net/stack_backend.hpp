@@ -75,7 +75,6 @@ enum class StackKind : std::uint8_t {
 enum class StackMode : std::uint8_t {
   kFull,      ///< FullStack owned by the guest (default; pre-seam behavior)
   kFastPath,  ///< FastPathStack owned by the guest
-  kService,   ///< stack hosted by a StackService (NetKernel-style)
 };
 
 [[nodiscard]] const char* to_string(StackKind kind);
@@ -148,12 +147,6 @@ class StackBackend {
   /// handler and adds a connected route for the subnet.  Returns ifindex.
   int add_interface(InterfaceBackend& backend, const InterfaceConfig& cfg);
 
-  /// The loopback interface (always ifindex 0); gso defaults to the cost
-  /// model's gso_loopback.
-  void configure_loopback(std::uint32_t gso_bytes) {
-    ifaces_[0].cfg.gso_bytes = gso_bytes;
-  }
-
   [[nodiscard]] RoutingTable& routes() { return routes_; }
   [[nodiscard]] int ifindex_of(const std::string& name) const;
   [[nodiscard]] Ipv4Address iface_ip(int ifindex) const {
@@ -203,9 +196,6 @@ class StackBackend {
   /// live in FullStack, so a cache attached to another backend simply
   /// stays cold (the FastPathStack-hosted VTEP case).
   void attach_oncache(oncache::OnCache* cache) { oncache_ = cache; }
-  [[nodiscard]] oncache::OnCache* attached_oncache() const {
-    return oncache_;
-  }
   /// Transmits a fully resolved frame out `out_ifindex` (capture tap
   /// included) — the last hop of every egress path: the ARP-resolved one,
   /// the flowcache and the oncache fast paths.  A frame for an unplugged
@@ -475,9 +465,9 @@ class StackBackend {
              RxTrain* train);
 };
 
-/// Constructs a self-contained backend (kFull or kFastPath).  kService
-/// stacks are minted by their StackService (they share its worker), so
-/// requesting kService here throws std::invalid_argument.
+/// Constructs a self-contained backend.  Service-hosted stacks are minted
+/// by their StackService (StackService::attach_guest), which shares its
+/// worker between them.
 std::unique_ptr<StackBackend> make_stack(StackMode mode, sim::Engine& engine,
                                          std::string name,
                                          const sim::CostModel& costs,

@@ -131,7 +131,6 @@ class TcpConnection {
 
   [[nodiscard]] sim::Duration current_rto() const;
   void rtt_sample(sim::Duration rtt);
-  void maybe_start_timing_sample();
   void on_ack_advance(std::uint32_t acked, std::uint32_t gso);
 
   sim::InlineHandler<std::uint32_t> on_receive_;

@@ -26,9 +26,6 @@ class VethEnd : public Device, public InterfaceBackend {
   // Stack side (InterfaceBackend).
   void xmit(EthernetFrame&& frame) override;
   void set_rx(RxHandler handler) override { rx_ = std::move(handler); }
-  [[nodiscard]] const std::string& backend_name() const override {
-    return Device::name();
-  }
 
  private:
   friend class VethPair;

@@ -1,5 +1,6 @@
 #include "scenario/deploy.hpp"
 
+#include <memory>
 #include <utility>
 
 namespace nestv::scenario {
@@ -7,6 +8,26 @@ namespace {
 
 /// Sub-stream id base (Rng::mix) of a conductor world's machine seeds.
 constexpr std::uint64_t kMachineStreamBase = 0x2000ULL;  // + machine ordinal
+
+/// Bytes a bulk sender keeps queued: two windows.
+constexpr std::uint32_t kBulkHighWater = 2 * 262144;
+
+struct BulkSend {
+  net::TcpSocket sock;
+  sim::Engine* engine;
+  std::uint32_t msg_bytes;
+  sim::TimePoint stop_at;
+  bool waiting = false;  ///< at the high-water mark; on_writable resumes
+};
+
+void refill(const std::shared_ptr<BulkSend>& s) {
+  if (s->engine->now() >= s->stop_at) return;
+  if (s->sock.buffered() >= kBulkHighWater) {
+    s->waiting = true;
+    return;
+  }
+  s->sock.send(s->msg_bytes, [s] { refill(s); });
+}
 
 net::Ipv4Address iface_ip(net::StackBackend& stack, const char* name) {
   return stack.iface_ip(stack.ifindex_of(name));
@@ -90,8 +111,7 @@ std::unique_ptr<PodDeployment> deploy_pod(Testbed& bed, PodSpec spec,
   if (split) d->cli_vm = &bed.create_vm_with_uplink(s.cli_vm);
   d->srv_vm = &bed.create_vm_with_uplink(s.srv_vm);
   if (s.mode == PodMode::kOverlay) {
-    d->overlay = std::make_unique<OverlayNetwork>(
-        bed, net::Ipv4Cidr(net::Ipv4Address(10, 99, 0, 0), 24), s.vni);
+    d->overlay = std::make_unique<OverlayNetwork>(bed, s.vni);
   }
   const bool two_pods = split && !s.cli_pod.empty();
   container::Pod& first = bed.create_pod(two_pods ? s.cli_pod : s.srv_pod);
@@ -118,7 +138,7 @@ std::unique_ptr<PodDeployment> deploy_pod(Testbed& bed, PodSpec spec,
                   container::Runtime::AttachFn attach,
                   container::Container** out) {
     bed.runtime_for(*frag.vm).create_container(
-        frag, container::Image{name + "-image"}, name, std::move(attach),
+        frag, name, std::move(attach),
         [d, out](container::Container& c, sim::Duration boot_time) {
           *out = &c;
           if (out == &d->srv_ctr) d->srv_boot = boot_time;
@@ -163,6 +183,19 @@ void bind_udp_echo(const Endpoint& server, std::uint16_t port) {
                     stack->udp_send(local, port, del.src_ip, del.src_port,
                                     del.bytes, app);
                   });
+}
+
+void start_bulk_send(net::TcpSocket sock, sim::Engine& engine,
+                     std::uint32_t msg_bytes, sim::TimePoint stop_at) {
+  auto s = std::make_shared<BulkSend>(
+      BulkSend{sock, &engine, msg_bytes, stop_at});
+  sock.set_on_writable([s] {
+    if (s->waiting) {
+      s->waiting = false;
+      refill(s);
+    }
+  });
+  sock.set_on_connected([s] { refill(s); });
 }
 
 std::vector<std::unique_ptr<Testbed>> make_machines(

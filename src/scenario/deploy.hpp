@@ -93,6 +93,14 @@ struct PodDeployment {
 /// sender, same size, from the server's local address.
 void bind_udp_echo(const Endpoint& server, std::uint16_t port);
 
+/// A bulk TCP sender on `sock` (netperf TCP_STREAM's loop): once the
+/// handshake completes it writes `msg_bytes` at a time, keeping up to two
+/// windows queued — each accepted write queues the next, and a drain below
+/// one window resumes a sender at that mark — until `engine` reaches
+/// `stop_at`.
+void start_bulk_send(net::TcpSocket sock, sim::Engine& engine,
+                     std::uint32_t msg_bytes, sim::TimePoint stop_at);
+
 /// One Testbed per machine of a conductor world, in machine order: machine
 /// i is "host<i>" on shard i * shards / count, seeded from `seed` and
 /// bridged on `subnet(i)`.

@@ -27,6 +27,16 @@ constexpr std::uint64_t kStreamStreamBase = 0x3000ULL;    // + stream ordinal
 constexpr std::uint32_t kClientPortBase = 10000;
 constexpr std::uint32_t kClientPortSpan = 50000;
 
+/// Long-lived server pods per machine, alternating NAT / BrFusion, so both
+/// modes exist everywhere.
+constexpr int kServerPodsPerMachine = 2;
+/// Cross-VM Hostlo pairs per machine.
+constexpr int kHostloPairsPerMachine = 1;
+/// Mean request/response transactions per churn flow (jittered per flow).
+constexpr int kFlowTransactions = 3;
+constexpr std::uint32_t kRrBytes = 256;
+constexpr std::uint32_t kStreamMsgBytes = 4096;
+
 /// Per-machine accumulators.  Only ever mutated from the owning machine's
 /// engine (client-side callbacks run there), merged in machine order after
 /// the run — the same "local state, ordered merge" determinism recipe as
@@ -103,47 +113,6 @@ void start_churn_flow(const std::shared_ptr<ChurnFlow>& d) {
   d->issue();
 }
 
-/// TCP bulk sender keeping up to two windows queued (the long-lived
-/// streams riding under the churn), driven by a self-rearming send chain.
-struct StreamDriver {
-  net::StackBackend* cli_stack = nullptr;
-  sim::SerialResource* cli_app = nullptr;
-  sim::Engine* cli_engine = nullptr;
-  net::Ipv4Address cli_ip, srv_service_ip;
-  std::uint16_t srv_port = 0;
-  std::uint32_t msg_bytes = 0;
-  sim::TimePoint stop_at = 0;
-  std::shared_ptr<net::TcpSocket> sock;
-  std::shared_ptr<std::function<void()>> send_chain;
-  bool waiting = false;
-};
-
-void start_stream(const std::shared_ptr<StreamDriver>& d,
-                  sim::TimePoint start) {
-  d->cli_engine->schedule_at(start, [d] {
-    d->sock = std::make_shared<net::TcpSocket>(d->cli_stack->tcp_connect(
-        d->cli_ip, d->srv_service_ip, d->srv_port, d->cli_app));
-    auto chain = std::make_shared<std::function<void()>>();
-    d->send_chain = chain;
-    const std::uint32_t high_water = 2 * 262144;
-    *chain = [d, chain, high_water] {
-      if (d->cli_engine->now() >= d->stop_at) return;
-      if (d->sock->buffered() >= high_water) {
-        d->waiting = true;
-        return;
-      }
-      d->sock->send(d->msg_bytes, [chain] { (*chain)(); });
-    };
-    d->sock->set_on_writable([d, chain] {
-      if (d->waiting) {
-        d->waiting = false;
-        (*chain)();
-      }
-    });
-    d->sock->set_on_connected([chain] { (*chain)(); });
-  });
-}
-
 /// A long-lived pod of the run (a NAT or BrFusion server pod, a Hostlo
 /// pair or an overlay pair) and the machine hosting it.
 struct HostedPod {
@@ -163,11 +132,6 @@ MacroScaleResult run_macro_scale(const MacroScaleConfig& config) {
   }
   if (config.shards < 1 || config.shards > config.machines) {
     throw std::invalid_argument("shards must be in [1, machines]");
-  }
-  if (config.server_pods_per_machine < 2) {
-    throw std::invalid_argument(
-        "macro scale needs >= 2 server pods per machine (one NAT, one "
-        "BrFusion)");
   }
 
   MacroScaleResult out;
@@ -243,7 +207,7 @@ MacroScaleResult run_macro_scale(const MacroScaleConfig& config) {
     return spec;
   };
   for (int i = 0; i < m_count; ++i) {
-    for (int j = 0; j < config.server_pods_per_machine; ++j) {
+    for (int j = 0; j < kServerPodsPerMachine; ++j) {
       const bool nat = j % 2 == 0;
       PodSpec spec;
       spec.mode = nat ? PodMode::kNat : PodMode::kBrFusion;
@@ -255,7 +219,7 @@ MacroScaleResult run_macro_scale(const MacroScaleConfig& config) {
     }
   }
   for (int i = 0; i < m_count; ++i) {
-    for (int h = 0; h < config.hostlo_pairs_per_machine; ++h) {
+    for (int h = 0; h < kHostloPairsPerMachine; ++h) {
       deploy(pairs, pairs_of, i,
              pair_spec(PodMode::kHostlo,
                        "hl" + std::to_string(i) + "-" + std::to_string(h),
@@ -319,7 +283,7 @@ MacroScaleResult run_macro_scale(const MacroScaleConfig& config) {
       if (d.is_pair()) p.client = d.client();
       bind_udp_echo(p.server, d.spec.port);
       if (d.overlay != nullptr) {
-        d.overlay->set_oncache_enabled(config.oncache_enabled);
+        d.overlay->set_oncache_enabled(true);
         overlays[std::size_t(p.machine)].push_back(d.overlay.get());
       }
     }
@@ -425,19 +389,14 @@ MacroScaleResult run_macro_scale(const MacroScaleConfig& config) {
     // The overlay mode joins the rotation only when the machines host
     // overlay pairs.
     const bool overlay_on = config.overlay_pairs_per_machine > 0;
-    int mode = k % (overlay_on ? 4 : 3);
-    if (mode == 2 && pairs_of[std::size_t(cm)].empty()) mode = 1;
-    if (mode == 3 && ov_of[std::size_t(cm)].empty()) mode = 1;
+    const int mode = k % (overlay_on ? 4 : 3);
 
     auto d = std::make_shared<ChurnFlow>();
     d->ordinal = k;
     d->acc = &stats[std::size_t(cm)];
-    d->bytes = config.rr_bytes + 16 * std::uint32_t(k % 7);
-    const int max_extra = 2 * (config.flow_transactions - 1);
+    d->bytes = kRrBytes + 16 * std::uint32_t(k % 7);
     d->remaining =
-        1 + (max_extra > 0
-                 ? int(rng.uniform_int(0, std::uint64_t(max_extra)))
-                 : 0);
+        1 + int(rng.uniform_int(0, std::uint64_t(2 * (kFlowTransactions - 1))));
     d->rng = rng;
 
     const HostedPod* p = nullptr;
@@ -490,7 +449,6 @@ MacroScaleResult run_macro_scale(const MacroScaleConfig& config) {
   }
 
   // ---- long-lived TCP streams through the NAT path ---------------------
-  std::vector<std::shared_ptr<StreamDriver>> streams;
   std::vector<int> stream_target;
   for (int k = 0; k < config.tcp_streams; ++k) {
     const int cm = k % m_count;
@@ -512,18 +470,21 @@ MacroScaleResult run_macro_scale(const MacroScaleConfig& config) {
     }
     sim::Rng srng = sim::Rng::of_stream(config.seed,
                                         kStreamStreamBase + std::uint64_t(k));
-    auto d = std::make_shared<StreamDriver>();
-    d->cli_stack = &beds[std::size_t(cm)]->machine().stack();
-    d->cli_app = &beds[std::size_t(cm)]->machine().make_app_core(
-        "stream" + std::to_string(k) + "-cli");
-    d->cli_engine = &beds[std::size_t(cm)]->engine();
-    d->cli_ip = beds[std::size_t(cm)]->machine().bridge_ip();
-    d->srv_service_ip = s.server.service_ip;
-    d->srv_port = s.pod->spec.port;
-    d->msg_bytes = config.stream_msg_bytes + 64 * std::uint32_t(k % 5);
-    d->stop_at = arrivals_end;
-    start_stream(d, start_base + srng.uniform_int(0, 100000));
-    streams.push_back(std::move(d));
+    vmm::PhysicalMachine& cli = beds[std::size_t(cm)]->machine();
+    net::StackBackend* stack = &cli.stack();
+    sim::SerialResource* app =
+        &cli.make_app_core("stream" + std::to_string(k) + "-cli");
+    sim::Engine* engp = &beds[std::size_t(cm)]->engine();
+    const net::Ipv4Address cli_ip = cli.bridge_ip();
+    const net::Ipv4Address srv_ip = s.server.service_ip;
+    const std::uint16_t port = s.pod->spec.port;
+    const std::uint32_t msg_bytes = kStreamMsgBytes + 64 * std::uint32_t(k % 5);
+    engp->schedule_at(start_base + srng.uniform_int(0, 100000),
+                      [stack, app, engp, cli_ip, srv_ip, port, msg_bytes,
+                       arrivals_end] {
+      start_bulk_send(stack->tcp_connect(cli_ip, srv_ip, port, app), *engp,
+                      msg_bytes, arrivals_end);
+    });
     stream_target.push_back(target);
   }
 
@@ -534,9 +495,6 @@ MacroScaleResult run_macro_scale(const MacroScaleConfig& config) {
   out.wall_seconds = std::chrono::duration<double>(wall1 - wall0).count();
   // The self-chaining closures hold shared_ptrs to themselves; break each
   // cycle so the world's teardown frees them.
-  for (auto& d : streams) {
-    if (d->send_chain != nullptr) *d->send_chain = nullptr;
-  }
   for (auto& tick : ticks) *tick = nullptr;
   for (auto& pump : pumps) *pump = nullptr;
 

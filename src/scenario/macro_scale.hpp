@@ -23,8 +23,8 @@
 //                construction);
 //   * Overlay  — cross-VM pod pair tunneled through a per-pair VXLAN
 //                overlay (UDP RR, VM-to-VM through the host bridge),
-//                riding the ONCache-style encap/decap fast path when
-//                oncache_enabled (off by default: zero overlay pairs).
+//                riding the ONCache-style encap/decap fast path (off by
+//                default: zero overlay pairs).
 // Placement follows the Google-like trace (trace::generate_google_like_trace).
 //
 // Determinism: identical simulated outputs at any shards/max_workers
@@ -57,27 +57,15 @@ struct MacroScaleConfig {
 
   // ---- population ------------------------------------------------------
   int trace_users = 32;
-  /// Long-lived server pods per machine, alternating NAT / BrFusion
-  /// (must be >= 2 so both modes exist everywhere).
-  int server_pods_per_machine = 2;
-  /// Cross-VM Hostlo pods per machine (0 disables the Hostlo flow mode).
-  int hostlo_pairs_per_machine = 1;
   /// Cross-VM overlay (VXLAN) pod pairs per machine (0 disables the
   /// overlay flow mode).
   int overlay_pairs_per_machine = 0;
-  /// Drive overlay pairs through the ONCache-style encap/decap fast path
-  /// (ignored when overlay_pairs_per_machine == 0).
-  bool oncache_enabled = true;
 
   // ---- churn -----------------------------------------------------------
   /// Ephemeral flows arriving open-loop over `arrival_window`.
   int flows = 2000;
-  /// Mean request/response transactions per flow (jittered per flow).
-  int flow_transactions = 3;
-  std::uint32_t rr_bytes = 256;
   /// Long-lived NAT TCP streams riding along (bulk bytes under churn).
   int tcp_streams = 2;
-  std::uint32_t stream_msg_bytes = 4096;
 
   sim::Duration arrival_window = sim::milliseconds(150);
   /// Extra time after the last arrival for in-flight flows to finish.

@@ -4,9 +4,8 @@
 
 namespace nestv::scenario {
 
-OverlayNetwork::OverlayNetwork(Testbed& bed, net::Ipv4Cidr subnet,
-                               std::uint32_t vni)
-    : bed_(&bed), subnet_(subnet), vni_(vni) {}
+OverlayNetwork::OverlayNetwork(Testbed& bed, std::uint32_t vni)
+    : bed_(&bed), vni_(vni) {}
 
 OverlayNetwork::VmState& OverlayNetwork::state_for(vmm::Vm& vm) {
   auto it = states_.find(&vm);
@@ -61,11 +60,12 @@ OverlayNetwork::Attachment OverlayNetwork::attach(
   veth->set_cpu(&fragment.vm->softirq(), sim::CpuCategory::kSoft);
   net::Device::connect(veth->a(), 0, *state.bridge, state.bridge->add_port());
 
+  const net::Ipv4Cidr subnet(net::Ipv4Address(10, 99, 0, 0), 24);
   net::InterfaceConfig cfg;
   cfg.name = "ov0";
   cfg.mac = machine.allocate_mac();
-  cfg.ip = subnet_.host(next_ip_++);
-  cfg.subnet = subnet_;
+  cfg.ip = subnet.host(next_ip_++);
+  cfg.subnet = subnet;
   cfg.gso_bytes = bed_->costs().gso_overlay;
   const int ifindex = fragment.stack->add_interface(veth->b(), cfg);
 
@@ -94,16 +94,6 @@ void OverlayNetwork::set_oncache_enabled(bool on) {
     (void)vm;
     state->oncache->set_enabled(on);
   }
-}
-
-net::oncache::OnCache* OverlayNetwork::oncache_for(vmm::Vm& vm) {
-  const auto it = states_.find(&vm);
-  return it != states_.end() ? it->second->oncache.get() : nullptr;
-}
-
-net::VxlanDevice* OverlayNetwork::vxlan_for(vmm::Vm& vm) {
-  const auto it = states_.find(&vm);
-  return it != states_.end() ? it->second->vxlan.get() : nullptr;
 }
 
 OverlayNetwork::OncacheTotals OverlayNetwork::oncache_totals() const {

@@ -25,10 +25,9 @@ namespace nestv::scenario {
 
 class OverlayNetwork {
  public:
-  OverlayNetwork(Testbed& bed,
-                 net::Ipv4Cidr subnet = net::Ipv4Cidr(
-                     net::Ipv4Address(10, 99, 0, 0), 24),
-                 std::uint32_t vni = 0);
+  /// Members are addressed from 10.99.0.0/24; `vni` keeps overlays that
+  /// share one underlay apart.
+  OverlayNetwork(Testbed& bed, std::uint32_t vni);
 
   struct Attachment {
     int ifindex = -1;
@@ -47,10 +46,6 @@ class OverlayNetwork {
   /// Flips the encap/decap fast path on every member VM's cache.
   /// Disabling flushes the caches.
   void set_oncache_enabled(bool on);
-
-  /// Per-VM handles (null when the VM is not a member).
-  [[nodiscard]] net::oncache::OnCache* oncache_for(vmm::Vm& vm);
-  [[nodiscard]] net::VxlanDevice* vxlan_for(vmm::Vm& vm);
 
   /// Aggregates across member VMs (macro-scale peak-state sampling).
   struct OncacheTotals {
@@ -79,7 +74,6 @@ class OverlayNetwork {
   VmState& state_for(vmm::Vm& vm);
 
   Testbed* bed_;
-  net::Ipv4Cidr subnet_;
   std::uint32_t vni_;
   std::map<vmm::Vm*, std::unique_ptr<VmState>> states_;
   std::vector<Member> members_;

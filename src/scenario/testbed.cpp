@@ -21,7 +21,6 @@ Testbed::Testbed(TestbedConfig config)
   }
   vmm::PhysicalMachine::Config mc = config.machine;
   mc.seed = config.seed;
-  mc.standing_rules = costs_.nf_standing_rules;
   machine_ =
       std::make_unique<vmm::PhysicalMachine>(*engine_, costs_, mc);
   vmm_ = std::make_unique<vmm::Vmm>(*machine_);
@@ -38,10 +37,7 @@ Testbed::Testbed(TestbedConfig config)
 }
 
 vmm::Vm& Testbed::create_vm_with_uplink(const std::string& name) {
-  vmm::Vm::Config vc;
-  vc.name = name;
-  vc.standing_rules = costs_.nf_standing_rules;
-  vmm::Vm& vm = vmm_->create_vm(vc);
+  vmm::Vm& vm = vmm_->create_vm({.name = name});
 
   net::TapDevice& tap = machine_->make_tap("tap-" + name);
   vmm::VirtioNic& nic = vm.create_nic("eth0", use_vhost_);

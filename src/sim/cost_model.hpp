@@ -178,7 +178,6 @@ struct CostModel {
   // 64KB MTU; bridge-netfilter + NAT forces software segmentation to the
   // wire MTU (br_netfilter re-segments GSO frames so iptables can see
   // L3/L4 headers) — that asymmetry is the mechanistic root of fig 2.
-  std::uint32_t mtu_wire = 1500;
   std::uint32_t gso_virtio = 16384;   ///< NoCont / BrFusion pod NIC
   std::uint32_t gso_loopback = 65536; ///< SameNode intra-pod localhost
   std::uint32_t gso_nat_nested = 1448;///< nested bridge+NAT guest path

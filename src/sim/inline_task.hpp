@@ -10,6 +10,11 @@
 // Fallbacks are counted (per thread, so parallel bench sweeps don't race)
 // and reported by bench/abl_engine_perf as `tasks_heap`; the steady-state
 // datapath keeps that counter at zero.
+//
+// One class template, InlineCallable<Tag, Args...>, holds the storage;
+// InlineTask (event-queue closures) and InlineHandler<Args...> (socket
+// callbacks) are its two instantiation families, each with its own spill
+// counter selected by the tag.
 #pragma once
 
 #include <cstddef>
@@ -20,7 +25,20 @@
 
 namespace nestv::sim {
 
-class InlineTask {
+namespace detail {
+/// Spill counters, one per tag: every InlineHandler instantiation shares
+/// one, separate from InlineTask's so the bench gate on `tasks_heap` keeps
+/// its exact meaning (event-queue closures only).
+struct TaskSpills {};
+struct HandlerSpills {};
+template <typename Tag>
+inline thread_local std::uint64_t heap_spills = 0;
+}  // namespace detail
+
+/// Small-buffer, move-only `void(Args...)` callable; `Tag` picks the spill
+/// counter.
+template <typename Tag, typename... Args>
+class InlineCallable {
  public:
   /// Inline closure capacity.  The largest steady-state closure is the
   /// ONCache egress fast path's in oncache::CachedBridge::ingress: `this`,
@@ -30,142 +48,15 @@ class InlineTask {
   /// leaves headroom without bloating the event-queue slots.
   static constexpr std::size_t kInlineBytes = 192;
 
-  InlineTask() noexcept = default;
-  InlineTask(std::nullptr_t) noexcept {}  // NOLINT(google-explicit-constructor)
+  InlineCallable() noexcept = default;
+  InlineCallable(std::nullptr_t) noexcept {}  // NOLINT(google-explicit-constructor)
 
   template <typename F,
             typename = std::enable_if_t<
-                !std::is_same_v<std::remove_cvref_t<F>, InlineTask> &&
-                std::is_invocable_r_v<void, std::remove_cvref_t<F>&>>>
-  InlineTask(F&& f) {  // NOLINT(google-explicit-constructor)
-    using Fn = std::remove_cvref_t<F>;
-    if constexpr (sizeof(Fn) <= kInlineBytes &&
-                  alignof(Fn) <= alignof(std::max_align_t) &&
-                  std::is_nothrow_move_constructible_v<Fn>) {
-      ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
-      ops_ = &InlineOps<Fn>::ops;
-    } else {
-      *reinterpret_cast<Fn**>(static_cast<void*>(storage_)) =
-          new Fn(std::forward<F>(f));
-      ops_ = &HeapOps<Fn>::ops;
-      ++heap_fallbacks_;
-    }
-  }
-
-  InlineTask(InlineTask&& other) noexcept { steal(other); }
-
-  InlineTask& operator=(InlineTask&& other) noexcept {
-    if (this != &other) {
-      reset();
-      steal(other);
-    }
-    return *this;
-  }
-
-  InlineTask(const InlineTask&) = delete;
-  InlineTask& operator=(const InlineTask&) = delete;
-
-  ~InlineTask() { reset(); }
-
-  /// Destroys the held closure (no-op when empty).
-  void reset() noexcept {
-    if (ops_ != nullptr) {
-      ops_->destroy(storage_);
-      ops_ = nullptr;
-    }
-  }
-
-  [[nodiscard]] explicit operator bool() const noexcept {
-    return ops_ != nullptr;
-  }
-
-  /// Invokes the closure.  Precondition: non-empty.
-  void operator()() { ops_->invoke(storage_); }
-
-  /// Closures that did not fit inline on this thread (bench metric).
-  [[nodiscard]] static std::uint64_t heap_fallbacks() noexcept {
-    return heap_fallbacks_;
-  }
-  static void reset_heap_fallbacks() noexcept { heap_fallbacks_ = 0; }
-
- private:
-  struct Ops {
-    void (*invoke)(void* storage);
-    /// Move-constructs into `dst` from `src`, then destroys `src`.
-    void (*relocate)(void* dst, void* src) noexcept;
-    void (*destroy)(void* storage) noexcept;
-  };
-
-  template <typename Fn>
-  struct InlineOps {
-    static Fn* get(void* s) noexcept {
-      return std::launder(reinterpret_cast<Fn*>(s));
-    }
-    static void invoke(void* s) { (*get(s))(); }
-    static void relocate(void* dst, void* src) noexcept {
-      ::new (dst) Fn(std::move(*get(src)));
-      get(src)->~Fn();
-    }
-    static void destroy(void* s) noexcept { get(s)->~Fn(); }
-    static constexpr Ops ops{&invoke, &relocate, &destroy};
-  };
-
-  template <typename Fn>
-  struct HeapOps {
-    static Fn* get(void* s) noexcept {
-      return *std::launder(reinterpret_cast<Fn**>(s));
-    }
-    static void invoke(void* s) { (*get(s))(); }
-    static void relocate(void* dst, void* src) noexcept {
-      // Relocating a heap closure just moves the owning pointer.
-      *reinterpret_cast<Fn**>(dst) = get(src);
-    }
-    static void destroy(void* s) noexcept { delete get(s); }
-    static constexpr Ops ops{&invoke, &relocate, &destroy};
-  };
-
-  void steal(InlineTask& other) noexcept {
-    if (other.ops_ != nullptr) {
-      ops_ = other.ops_;
-      ops_->relocate(storage_, other.storage_);
-      other.ops_ = nullptr;
-    }
-  }
-
-  alignas(std::max_align_t) unsigned char storage_[kInlineBytes];
-  const Ops* ops_ = nullptr;
-
-  inline static thread_local std::uint64_t heap_fallbacks_ = 0;
-};
-
-namespace detail {
-/// Spill counter shared by every InlineHandler instantiation.  Separate
-/// from InlineTask::heap_fallbacks_ so the bench gate on `tasks_heap`
-/// keeps its exact meaning (event-queue closures only).
-struct HandlerSpillCount {
-  inline static thread_local std::uint64_t value = 0;
-};
-}  // namespace detail
-
-/// InlineTask generalized to callables taking arguments: same SBO storage,
-/// Ops vtable and move-only semantics, but invoke() forwards `Args...`.
-/// Used for socket callbacks (TcpSocket's on_receive / on_connected /
-/// on_closed / on_writable) so per-delivery dispatch does not bounce
-/// through std::function.
-template <typename... Args>
-class InlineHandler {
- public:
-  static constexpr std::size_t kInlineBytes = InlineTask::kInlineBytes;
-
-  InlineHandler() noexcept = default;
-  InlineHandler(std::nullptr_t) noexcept {}  // NOLINT(google-explicit-constructor)
-
-  template <typename F,
-            typename = std::enable_if_t<
-                !std::is_same_v<std::remove_cvref_t<F>, InlineHandler> &&
+                !std::is_same_v<std::remove_cvref_t<F>, InlineCallable> &&
                 std::is_invocable_r_v<void, std::remove_cvref_t<F>&,
                                       Args...>>>
-  InlineHandler(F&& f) {  // NOLINT(google-explicit-constructor)
+  InlineCallable(F&& f) {  // NOLINT(google-explicit-constructor)
     using Fn = std::remove_cvref_t<F>;
     if constexpr (sizeof(Fn) <= kInlineBytes &&
                   alignof(Fn) <= alignof(std::max_align_t) &&
@@ -176,13 +67,13 @@ class InlineHandler {
       *reinterpret_cast<Fn**>(static_cast<void*>(storage_)) =
           new Fn(std::forward<F>(f));
       ops_ = &HeapOps<Fn>::ops;
-      ++detail::HandlerSpillCount::value;
+      ++detail::heap_spills<Tag>;
     }
   }
 
-  InlineHandler(InlineHandler&& other) noexcept { steal(other); }
+  InlineCallable(InlineCallable&& other) noexcept { steal(other); }
 
-  InlineHandler& operator=(InlineHandler&& other) noexcept {
+  InlineCallable& operator=(InlineCallable&& other) noexcept {
     if (this != &other) {
       reset();
       steal(other);
@@ -190,10 +81,10 @@ class InlineHandler {
     return *this;
   }
 
-  InlineHandler(const InlineHandler&) = delete;
-  InlineHandler& operator=(const InlineHandler&) = delete;
+  InlineCallable(const InlineCallable&) = delete;
+  InlineCallable& operator=(const InlineCallable&) = delete;
 
-  ~InlineHandler() { reset(); }
+  ~InlineCallable() { reset(); }
 
   /// Destroys the held closure (no-op when empty).
   void reset() noexcept {
@@ -210,6 +101,15 @@ class InlineHandler {
   /// Invokes the closure.  Precondition: non-empty.
   void operator()(Args... args) {
     ops_->invoke(storage_, std::forward<Args>(args)...);
+  }
+
+  /// Closures of this tag that did not fit inline on this thread (bench
+  /// metric).
+  [[nodiscard]] static std::uint64_t heap_fallbacks() noexcept {
+    return detail::heap_spills<Tag>;
+  }
+  static void reset_heap_fallbacks() noexcept {
+    detail::heap_spills<Tag> = 0;
   }
 
  private:
@@ -252,7 +152,7 @@ class InlineHandler {
     static constexpr Ops ops{&invoke, &relocate, &destroy};
   };
 
-  void steal(InlineHandler& other) noexcept {
+  void steal(InlineCallable& other) noexcept {
     if (other.ops_ != nullptr) {
       ops_ = other.ops_;
       ops_->relocate(storage_, other.storage_);
@@ -264,13 +164,24 @@ class InlineHandler {
   const Ops* ops_ = nullptr;
 };
 
+/// An event-queue closure: `void()`.
+using InlineTask = InlineCallable<detail::TaskSpills>;
+static_assert(sizeof(InlineTask) == 208,
+              "event-queue slots are sized for a 208-byte InlineTask");
+
+/// A socket callback taking `Args...` (TcpSocket's on_receive /
+/// on_connected / on_closed / on_writable), so per-delivery dispatch does
+/// not bounce through std::function.
+template <typename... Args>
+using InlineHandler = InlineCallable<detail::HandlerSpills, Args...>;
+
 /// Handler closures that did not fit inline on this thread (bench metric,
 /// counted separately from InlineTask::heap_fallbacks).
 [[nodiscard]] inline std::uint64_t handler_heap_fallbacks() noexcept {
-  return detail::HandlerSpillCount::value;
+  return InlineHandler<>::heap_fallbacks();
 }
 inline void reset_handler_heap_fallbacks() noexcept {
-  detail::HandlerSpillCount::value = 0;
+  InlineHandler<>::reset_heap_fallbacks();
 }
 
 }  // namespace nestv::sim

@@ -52,10 +52,6 @@ std::uint64_t Rng::uniform_int(std::uint64_t lo, std::uint64_t hi) {
   return lo + x % span;
 }
 
-double Rng::uniform_real(double lo, double hi) {
-  return lo + (hi - lo) * next_double();
-}
-
 bool Rng::chance(double p) {
   if (p <= 0.0) return false;
   if (p >= 1.0) return true;

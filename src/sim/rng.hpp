@@ -27,9 +27,6 @@ class Rng {
   /// Uniform integer on [lo, hi] (inclusive).  Precondition: lo <= hi.
   std::uint64_t uniform_int(std::uint64_t lo, std::uint64_t hi);
 
-  /// Uniform real on [lo, hi).
-  double uniform_real(double lo, double hi);
-
   /// Bernoulli trial with success probability p.
   bool chance(double p);
 

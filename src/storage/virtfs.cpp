@@ -58,10 +58,7 @@ void VirtfsMount::op(std::uint64_t payload_bytes,
                    reply = std::move(reply)]() mutable {
                     host_action();
                     engine.schedule_in(costs_.transport_rtt / 2,
-                                       [this, reply = std::move(reply)] {
-                                         ++ops_;
-                                         reply();
-                                       });
+                                       std::move(reply));
                   });
             });
       });

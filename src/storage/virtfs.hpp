@@ -82,7 +82,6 @@ class VirtfsMount {
   /// Removes the file; `done(true)` if it existed.
   void unlink(const std::string& path, std::function<void(bool)> done);
 
-  [[nodiscard]] std::uint64_t ops_completed() const { return ops_; }
   [[nodiscard]] vmm::Vm& vm() { return *vm_; }
 
  private:
@@ -93,7 +92,6 @@ class VirtfsMount {
   HostFileStore* store_;
   vmm::Vm* vm_;
   VirtfsCosts costs_;
-  std::uint64_t ops_ = 0;
 };
 
 /// A pod volume: one shared directory prefix mounted into several VMs.
@@ -109,7 +107,6 @@ class SharedVolume {
     return name_ + "/" + file;
   }
   [[nodiscard]] const std::string& name() const { return name_; }
-  [[nodiscard]] std::size_t mounts() const { return mounts_.size(); }
 
  private:
   HostFileStore* store_;

@@ -83,11 +83,13 @@ void HierarchicalFabric::attach(PhysicalMachine& machine) {
   net::Device::connect_wire(conductor_, *member.port, 0, tor, tor_port,
                             costs_->fabric_hop_latency);
 
+  // External-address pool; /16 leaves room for thousands of machines.
+  const net::Ipv4Cidr ext_subnet(net::Ipv4Address(10, 10, 0, 0), 16);
   net::InterfaceConfig cfg;
   cfg.name = "ext0";
   cfg.mac = machine.allocate_mac();
-  cfg.ip = config_.subnet.host(next_ip_++);
-  cfg.subnet = config_.subnet;
+  cfg.ip = ext_subnet.host(next_ip_++);
+  cfg.subnet = ext_subnet;
   cfg.gso_bytes = costs_->gso_virtio;  // physical NICs have TSO
   const int ext_if = machine.stack().add_interface(*member.port, cfg);
 

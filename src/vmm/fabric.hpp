@@ -24,7 +24,7 @@
 // faster than the shortest fabric link.
 //
 // L3 is the derivative-cloud plan: every machine gets an external NIC
-// ("ext0") addressed from the fabric subnet, and each remote machine's VM
+// ("ext0") addressed from the fabric's 10.10/16, and each remote machine's VM
 // subnet is routed via that machine's external address (one
 // net::PeerRouteSet per fabric, read by every member's routing table).
 // Cross-host pod traffic must then use an overlay (as Docker does) — while
@@ -45,8 +45,6 @@
 namespace nestv::vmm {
 
 struct FabricConfig {
-  /// External-address pool; /16 leaves room for thousands of machines.
-  net::Ipv4Cidr subnet = net::Ipv4Cidr(net::Ipv4Address(10, 10, 0, 0), 16);
   int machines_per_rack = 16;
   int spines = 2;
 };

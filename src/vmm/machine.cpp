@@ -37,7 +37,8 @@ PhysicalMachine::PhysicalMachine(sim::Engine& engine,
   host_stack_ = std::make_unique<net::NetworkStack>(
       engine, config_.name, costs, host_softirq_);
   host_stack_->set_forwarding(true);
-  host_stack_->netfilter().install_standing_rules(config_.standing_rules);
+  // Host netfilter bookkeeping chains.
+  host_stack_->netfilter().install_standing_rules(costs.nf_standing_rules);
 
   // The host stack owns the bridge address (like virbr0's 192.168.122.1).
   host_port_ = std::make_unique<net::PortBackend>(

@@ -24,11 +24,9 @@ class PhysicalMachine {
  public:
   struct Config {
     std::string name = "host";
-    int cores = 12;  ///< 2x Xeon E5-2420 v2, HyperThreading off
     net::Ipv4Cidr bridge_subnet =
         net::Ipv4Cidr(net::Ipv4Address(192, 168, 122, 0), 24);
     std::uint64_t seed = 42;
-    int standing_rules = 6;  ///< host netfilter bookkeeping chains
   };
 
   PhysicalMachine(sim::Engine& engine, const sim::CostModel& costs,
@@ -48,7 +46,6 @@ class PhysicalMachine {
 
   /// The host kernel account ("host" in fig 14/15's host-side breakdown).
   [[nodiscard]] sim::CpuAccount& host_account() { return *host_account_; }
-  [[nodiscard]] sim::SerialResource& host_softirq() { return *host_softirq_; }
 
   /// The host-level bridge all VM taps plug into (fig 1a "bridge" on the
   /// physical machine).

@@ -2,15 +2,11 @@
 
 namespace nestv::vmm {
 
-MemPipe::MemPipe(Vm& a, Vm& b, std::string name) : name_(std::move(name)) {
-  a_.pipe = this;
+MemPipe::MemPipe(Vm& a, Vm& b) {
   a_.vm = &a;
   a_.peer = &b_;
-  a_.name = name_ + ".a";
-  b_.pipe = this;
   b_.vm = &b;
   b_.peer = &a_;
-  b_.name = name_ + ".b";
 }
 
 void MemPipe::Endpoint::xmit(net::EthernetFrame&& frame) {

@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "net/backend.hpp"
 #include "vmm/vm.hpp"
@@ -22,7 +21,7 @@ namespace nestv::vmm {
 class MemPipe {
  public:
   /// Establishes the shared ring between two VMs on the same host.
-  MemPipe(Vm& a, Vm& b, std::string name);
+  MemPipe(Vm& a, Vm& b);
 
   /// Endpoint devices, usable as a NetworkStack InterfaceBackend.
   [[nodiscard]] net::InterfaceBackend& endpoint_a() { return a_; }
@@ -34,21 +33,15 @@ class MemPipe {
 
  private:
   struct Endpoint : net::InterfaceBackend {
-    MemPipe* pipe = nullptr;
     Vm* vm = nullptr;          ///< owning (sending) VM
     Endpoint* peer = nullptr;
     RxHandler rx;
-    std::string name;
     std::uint64_t frames_tx = 0;
 
     void xmit(net::EthernetFrame&& frame) override;
     void set_rx(RxHandler handler) override { rx = std::move(handler); }
-    [[nodiscard]] const std::string& backend_name() const override {
-      return name;
-    }
   };
 
-  std::string name_;
   Endpoint a_;
   Endpoint b_;
 };

@@ -7,12 +7,10 @@
 
 namespace nestv::vmm {
 
-VirtioNic::VirtioNic(sim::Engine& engine, std::string name,
-                     const sim::CostModel& costs,
+VirtioNic::VirtioNic(sim::Engine& engine, const sim::CostModel& costs,
                      sim::SerialResource* guest_softirq,
                      sim::SerialResource* vhost, bool use_vhost)
     : engine_(&engine),
-      name_(std::move(name)),
       costs_(&costs),
       guest_softirq_(guest_softirq),
       vhost_(vhost),

@@ -9,7 +9,6 @@
 
 #include <functional>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "net/backend.hpp"
@@ -28,9 +27,9 @@ class VirtioNic : public net::InterfaceBackend {
   /// `guest_softirq` is the vCPU doing guest-side ring work; `vhost` the
   /// host kernel worker backing this device.  When `use_vhost` is false the
   /// device models QEMU userspace emulation (ablation abl_vhost).
-  VirtioNic(sim::Engine& engine, std::string name,
-            const sim::CostModel& costs, sim::SerialResource* guest_softirq,
-            sim::SerialResource* vhost, bool use_vhost = true);
+  VirtioNic(sim::Engine& engine, const sim::CostModel& costs,
+            sim::SerialResource* guest_softirq, sim::SerialResource* vhost,
+            bool use_vhost = true);
 
   /// Backs this NIC with a host TAP: guest TX writes to the tap fd, frames
   /// the tap reads from its network side are delivered to the guest.
@@ -44,9 +43,6 @@ class VirtioNic : public net::InterfaceBackend {
   void set_rx(RxHandler handler) override { rx_ = std::move(handler); }
   void set_rx_train(RxTrainHandler handler) override {
     rx_train_ = std::move(handler);
-  }
-  [[nodiscard]] const std::string& backend_name() const override {
-    return name_;
   }
 
   /// Host -> guest delivery (called by the tap fd handler / Hostlo).
@@ -79,7 +75,6 @@ class VirtioNic : public net::InterfaceBackend {
   void rx_napi_poll();
 
   sim::Engine* engine_;
-  std::string name_;
   const sim::CostModel* costs_;
   sim::SerialResource* guest_softirq_;
   sim::SerialResource* vhost_;

@@ -1,7 +1,5 @@
 #include "vmm/vm.hpp"
 
-#include <stdexcept>
-
 namespace nestv::vmm {
 
 Vm::Vm(PhysicalMachine& host, Config config)
@@ -17,33 +15,10 @@ Vm::Vm(PhysicalMachine& host, Config config)
   softirq_ = softirq.get();
   resources_.push_back(std::move(softirq));
 
-  if (config_.stack_mode == net::StackMode::kService) {
-    // NetKernel mode: no guest-side stack at all — protocol work runs on
-    // the service's shared host worker, not this VM's softirq vCPU.
-    if (config_.stack_service == nullptr) {
-      throw std::invalid_argument("Vm '" + config_.name +
-                                  "': kService needs a stack_service");
-    }
-    stack_ = &config_.stack_service->attach_guest("vm/" + config_.name);
-  } else {
-    owned_stack_ =
-        net::make_stack(config_.stack_mode, host_->engine(),
-                        "vm/" + config_.name, host_->costs(), softirq_);
-    stack_ = owned_stack_.get();
-  }
-  // Docker/K8s guest chains only exist on stacks that run netfilter.
-  if (stack_->has_netfilter()) {
-    stack_->netfilter().install_standing_rules(config_.standing_rules);
-  }
-}
-
-Vm::~Vm() {
-  // A service-hosted stack belongs to the service; give it back so the
-  // worker stops accepting this tenant's interfaces (retired, not
-  // destroyed — in-flight items may still reference it).
-  if (owned_stack_ == nullptr && config_.stack_service != nullptr) {
-    config_.stack_service->detach_guest(*stack_);
-  }
+  stack_ = std::make_unique<net::FullStack>(
+      host_->engine(), "vm/" + config_.name, host_->costs(), softirq_);
+  // Docker/K8s netfilter chains in the guest.
+  stack_->netfilter().install_standing_rules(host_->costs().nf_standing_rules);
 }
 
 sim::SerialResource& Vm::make_app_core(const std::string& app_name) {
@@ -61,9 +36,8 @@ sim::SerialResource& Vm::make_app_core(const std::string& app_name) {
 VirtioNic& Vm::create_nic(const std::string& nic_name, bool use_vhost) {
   auto& vhost =
       host_->make_kernel_worker("vhost-" + config_.name + "-" + nic_name);
-  auto nic = std::make_unique<VirtioNic>(
-      host_->engine(), config_.name + "/" + nic_name, host_->costs(),
-      softirq_, &vhost, use_vhost);
+  auto nic = std::make_unique<VirtioNic>(host_->engine(), host_->costs(),
+                                         softirq_, &vhost, use_vhost);
   VirtioNic& ref = *nic;
   nics_.push_back(std::move(nic));
   return ref;

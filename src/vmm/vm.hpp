@@ -6,8 +6,6 @@
 #include <vector>
 
 #include "net/stack.hpp"
-#include "net/stack_backend.hpp"
-#include "net/stack_service.hpp"
 #include "vmm/machine.hpp"
 #include "vmm/virtio.hpp"
 
@@ -17,19 +15,9 @@ class Vm {
  public:
   struct Config {
     std::string name;
-    int vcpus = 5;         ///< paper's VMs: 5 vCPUs, 4 GB (section 5.1)
-    int memory_mb = 4096;
-    int standing_rules = 6;  ///< Docker/K8s netfilter chains in the guest
-    /// Which stack flavour the guest kernel runs (kFull = the pre-seam
-    /// default; kFastPath = unikernel-style; kService = hosted on
-    /// `stack_service`'s shared worker instead of the guest softirq vCPU).
-    net::StackMode stack_mode = net::StackMode::kFull;
-    /// Required when stack_mode == kService; must outlive the Vm.
-    net::StackService* stack_service = nullptr;
   };
 
   Vm(PhysicalMachine& host, Config config);
-  ~Vm();
 
   Vm(const Vm&) = delete;
   Vm& operator=(const Vm&) = delete;
@@ -38,7 +26,7 @@ class Vm {
   [[nodiscard]] const Config& config() const { return config_; }
   [[nodiscard]] PhysicalMachine& host() { return *host_; }
 
-  /// The guest kernel's init network namespace (flavour per stack_mode).
+  /// The guest kernel's init network namespace.
   [[nodiscard]] net::StackBackend& stack() { return *stack_; }
   /// The vCPU servicing guest softirq (bridge, netfilter, virtio rings).
   [[nodiscard]] sim::SerialResource& softirq() { return *softirq_; }
@@ -63,10 +51,7 @@ class Vm {
   sim::CpuAccount* account_;
   std::vector<std::unique_ptr<sim::SerialResource>> resources_;
   sim::SerialResource* softirq_;
-  /// Self-owned stack (kFull / kFastPath); null in service mode.
-  std::unique_ptr<net::StackBackend> owned_stack_;
-  /// The guest's stack — owned_stack_.get(), or the service-hosted one.
-  net::StackBackend* stack_;
+  std::unique_ptr<net::FullStack> stack_;
   std::vector<std::unique_ptr<VirtioNic>> nics_;
 };
 

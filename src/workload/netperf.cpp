@@ -2,6 +2,8 @@
 
 #include <memory>
 
+#include "scenario/deploy.hpp"
+
 namespace nestv::workload {
 
 Netperf::Netperf(sim::Engine& engine, scenario::Endpoint client,
@@ -16,13 +18,7 @@ RrResult Netperf::run_udp_rr(std::uint32_t msg_bytes,
   const std::uint16_t client_port = 20001;
   const sim::TimePoint deadline = engine_->now() + duration;
 
-  // Server: echo `msg_bytes` back to the requester.
-  server_.stack->udp_bind(
-      port_, server_.app,
-      [this, msg_bytes](const net::NetworkStack::UdpDelivery& d) {
-        server_.stack->udp_send(server_.local_ip, port_, d.src_ip,
-                                d.src_port, msg_bytes, server_.app);
-      });
+  scenario::bind_udp_echo(server_, port_);
 
   auto latencies = std::make_shared<sim::Samples>();
   auto issued_at = std::make_shared<sim::TimePoint>(0);
@@ -72,36 +68,11 @@ StreamResult Netperf::run_tcp_stream(std::uint32_t msg_bytes,
             [server_bytes](std::uint32_t n) { *server_bytes += n; });
       });
 
-  auto sock = std::make_shared<net::TcpSocket>(client_.stack->tcp_connect(
-      client_.local_ip, server_.service_ip, port_, client_.app));
-
-  // Keep up to two windows of data queued; refill as sends are accepted.
-  const std::uint32_t high_water = 2 * 262144;
-  auto stopped = std::make_shared<bool>(false);
-  auto waiting = std::make_shared<bool>(false);
-  auto send_chain = std::make_shared<std::function<void()>>();
-  *send_chain = [this, sock, msg_bytes, deadline, stopped, waiting,
-                 send_chain, high_water] {
-    if (*stopped || engine_->now() >= deadline) {
-      *stopped = true;
-      return;
-    }
-    if (sock->buffered() >= high_water) {
-      *waiting = true;  // resume from on_writable
-      return;
-    }
-    sock->send(msg_bytes, [send_chain] { (*send_chain)(); });
-  };
-  sock->set_on_writable([waiting, send_chain] {
-    if (*waiting) {
-      *waiting = false;
-      (*send_chain)();
-    }
-  });
-  sock->set_on_connected([send_chain] { (*send_chain)(); });
+  const net::TcpSocket sock = client_.stack->tcp_connect(
+      client_.local_ip, server_.service_ip, port_, client_.app);
+  scenario::start_bulk_send(sock, *engine_, msg_bytes, deadline);
 
   engine_->run_until(deadline);
-  *stopped = true;
   const std::uint64_t delivered = *server_bytes;
   // Let in-flight segments land (they are not counted) before teardown.
   engine_->run_until(deadline + sim::milliseconds(10));
@@ -110,10 +81,7 @@ StreamResult Netperf::run_tcp_stream(std::uint32_t msg_bytes,
   r.bytes_delivered = delivered;
   r.throughput_mbps = static_cast<double>(delivered) * 8.0 /
                       sim::to_seconds(duration) / 1e6;
-  r.retransmits = sock->retransmits();
-  // The refill lambda captures its own shared_ptr; break the cycle so the
-  // chain (and everything it holds) is released at teardown.
-  *send_chain = nullptr;
+  r.retransmits = sock.retransmits();
   return r;
 }
 

@@ -164,8 +164,8 @@ TEST(VhostCharges, TxAndRxAreByteDependentAndSymmetric) {
   sim::CostModel costs;
   sim::SerialResource w_tx(engine, "vhost-tx");
   sim::SerialResource w_rx(engine, "vhost-rx");
-  vmm::VirtioNic tx_nic(engine, "tx", costs, nullptr, &w_tx, true);
-  vmm::VirtioNic rx_nic(engine, "rx", costs, nullptr, &w_rx, true);
+  vmm::VirtioNic tx_nic(engine, costs, nullptr, &w_tx, true);
+  vmm::VirtioNic rx_nic(engine, costs, nullptr, &w_rx, true);
 
   net::EthernetFrame big;
   big.packet.payload_bytes = 1400;
@@ -178,7 +178,7 @@ TEST(VhostCharges, TxAndRxAreByteDependentAndSymmetric) {
   // Byte dependence on the RX side specifically.
   sim::Engine engine2;
   sim::SerialResource w_small(engine2, "vhost-s");
-  vmm::VirtioNic small_nic(engine2, "s", costs, nullptr, &w_small, true);
+  vmm::VirtioNic small_nic(engine2, costs, nullptr, &w_small, true);
   net::EthernetFrame small;
   small.packet.payload_bytes = 64;
   small_nic.deliver_to_guest(std::move(small));
@@ -238,7 +238,7 @@ TEST(VirtioBurst, KicksAreSuppressedWhileInFlight) {
   costs.batch_size = 8;
   sim::SerialResource vhost(engine, "vhost");
   sim::SerialResource softirq(engine, "softirq");
-  vmm::VirtioNic nic(engine, "eth0", costs, &softirq, &vhost, true);
+  vmm::VirtioNic nic(engine, costs, &softirq, &vhost, true);
   // Burst of frames submitted back-to-back: one doorbell covers them all.
   for (int i = 0; i < 6; ++i) {
     net::EthernetFrame f;
@@ -257,7 +257,7 @@ TEST(VirtioBurst, NapiBudgetSplitsOversizedBursts) {
   costs.batch_size = 8;
   costs.napi_budget = 4;
   sim::SerialResource vhost(engine, "vhost");
-  vmm::VirtioNic nic(engine, "eth0", costs, nullptr, &vhost, true);
+  vmm::VirtioNic nic(engine, costs, nullptr, &vhost, true);
   for (int i = 0; i < 10; ++i) {
     net::EthernetFrame f;
     f.packet.payload_bytes = 128;
@@ -279,7 +279,7 @@ TEST(VirtioBurst, RxPollDeliversWholeTrain) {
   sim::CostModel costs;
   costs.batch_size = 8;
   sim::SerialResource vhost(engine, "vhost");
-  vmm::VirtioNic nic(engine, "eth0", costs, nullptr, &vhost, true);
+  vmm::VirtioNic nic(engine, costs, nullptr, &vhost, true);
   std::vector<std::size_t> trains;
   nic.set_rx_train([&trains](std::vector<net::EthernetFrame> fs) {
     trains.push_back(fs.size());

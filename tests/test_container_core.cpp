@@ -21,7 +21,7 @@ struct CoreFixture : ::testing::Test {
                              const std::string& name = "c") {
     container::Container* out = nullptr;
     bed.runtime_for(*frag.vm).create_container(
-        frag, container::Image{"img"}, name, std::move(attach),
+        frag, name, std::move(attach),
         [&out](container::Container& c, sim::Duration) { out = &c; });
     bed.run_until_ready([&out] { return out != nullptr; });
     return out;

@@ -193,7 +193,7 @@ struct MemPipeFixture : ::testing::Test {
   scenario::Testbed bed{scenario::TestbedConfig{.seed = 5}};
   vmm::Vm& vm1 = bed.create_vm_with_uplink("vm1");
   vmm::Vm& vm2 = bed.create_vm_with_uplink("vm2");
-  vmm::MemPipe pipe{vm1, vm2, "mp0"};
+  vmm::MemPipe pipe{vm1, vm2};
 };
 
 TEST_F(MemPipeFixture, TransfersFramesBothWays) {

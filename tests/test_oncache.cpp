@@ -442,7 +442,6 @@ scenario::MacroScaleConfig overlay_macro_config(int shards) {
   cfg.flows = 48;
   cfg.tcp_streams = 1;
   cfg.overlay_pairs_per_machine = 1;
-  cfg.oncache_enabled = true;
   cfg.arrival_window = sim::milliseconds(40);
   cfg.drain = sim::milliseconds(40);
   return cfg;

@@ -22,8 +22,7 @@ struct ServiceFixture : ::testing::Test {
     auto& frag = pod.add_fragment(vm);
     bool ready = false;
     bed.runtime_for(vm).create_container(
-        frag, container::Image{"srv"}, name,
-        bed.brfusion_cni().attach_fn({}),
+        frag, name, bed.brfusion_cni().attach_fn({}),
         [&ready](container::Container&, sim::Duration) { ready = true; });
     bed.run_until_ready([&ready] { return ready; });
     return frag;
@@ -183,7 +182,7 @@ TEST_F(ServiceFixture, BridgeNatBackendOnOtherVmIsUnreachable) {
   auto& frag = pod.add_fragment(vm1);
   bool ready = false;
   bed.runtime_for(vm1).create_container(
-      frag, container::Image{"srv"}, "c", bed.nat_cni().attach_fn({}),
+      frag, "c", bed.nat_cni().attach_fn({}),
       [&ready](container::Container&, sim::Duration) { ready = true; });
   bed.run_until_ready([&ready] { return ready; });
   const auto pod_ip = frag.stack->iface_ip(frag.stack->ifindex_of("eth0"));

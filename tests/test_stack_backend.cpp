@@ -232,10 +232,6 @@ TEST(MakeStack, FactoryDispatchesOnMode) {
       make_stack(StackMode::kFastPath, engine, "p", kCosts, nullptr);
   EXPECT_EQ(full->kind(), StackKind::kFullStack);
   EXPECT_EQ(fast->kind(), StackKind::kFastPath);
-  // Service-hosted stacks come from StackService, never from the factory.
-  EXPECT_THROW(
-      (void)make_stack(StackMode::kService, engine, "s", kCosts, nullptr),
-      std::invalid_argument);
 }
 
 // ---- backend semantic equivalence ------------------------------------------

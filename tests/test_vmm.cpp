@@ -4,6 +4,7 @@
 
 #include <vector>
 
+#include "net/netfilter.hpp"
 #include "net/stack.hpp"
 #include "vmm/hostlo_tap.hpp"
 #include "vmm/machine.hpp"
@@ -77,10 +78,20 @@ TEST_F(VmmFixture, KernelWorkerChargesHostSys) {
 
 // ---- vm ------------------------------------------------------------------------
 
-TEST_F(VmmFixture, VmDefaultsMatchPaperTestbed) {
-  Vm& vm = vmm->create_vm({.name = "vm1"});
-  EXPECT_EQ(vm.config().vcpus, 5);
-  EXPECT_EQ(vm.config().memory_mb, 4096);
+TEST(VmmStandingRules, FollowTheCostModel) {
+  // Built without a Testbed: the machine and the VM still install the
+  // cost model's standing-rule count, not a default of their own.
+  sim::Engine engine;
+  sim::CostModel costs{};
+  costs.nf_standing_rules = 2;
+  PhysicalMachine machine(engine, costs);
+  Vmm vmm(machine);
+  Vm& vm = vmm.create_vm({.name = "vm1"});
+  EXPECT_EQ(machine.stack().netfilter().filter_chain(net::Hook::kForward)
+                .standing,
+            2u);
+  EXPECT_EQ(vm.stack().netfilter().filter_chain(net::Hook::kForward).standing,
+            2u);
 }
 
 TEST_F(VmmFixture, GuestCpuAlsoBillsHostGuestTime) {
@@ -153,8 +164,8 @@ TEST_F(VmmFixture, EmulatedVirtioCostsMoreThanVhost) {
   // device (no vhost) must burn more host CPU per frame.
   sim::SerialResource w_fast(engine, "w-fast");
   sim::SerialResource w_slow(engine, "w-slow");
-  VirtioNic fast(engine, "fast", costs, nullptr, &w_fast, true);
-  VirtioNic slow(engine, "slow", costs, nullptr, &w_slow, false);
+  VirtioNic fast(engine, costs, nullptr, &w_fast, true);
+  VirtioNic slow(engine, costs, nullptr, &w_slow, false);
 
   net::EthernetFrame f;
   f.packet.payload_bytes = 1000;
