@@ -1,9 +1,8 @@
 // Ablation — the simulation-engine hot path itself.
 //
-// Counts the engine's work on the steady-state NAT Netperf scenario at
-// batch_size 1 and 32: queue events, coalesced completions, InlineTask
-// heap spills, frame clones and packet-pool reuse.  It also counts the
-// real heap allocations per steady-state packet at batch_size 1, on the
+// Counts the engine's work on the steady-state NAT Netperf scenario: queue
+// events, InlineTask heap spills, frame clones and packet-pool reuse.  It
+// also counts the real heap allocations per steady-state packet, on the
 // NAT world and on a cross-VM Overlay world with the ONCache fast path off
 // (every datagram encapsulated and decapsulated by the VXLAN slow path),
 // and exits 1 once either reaches the DESIGN.md §8 budget (0.1).  The
@@ -74,13 +73,11 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
 
 namespace {
 
-/// Real heap allocations per steady-state packet allowed at batch_size 1
-/// (DESIGN.md §8).
+/// Real heap allocations per steady-state packet allowed (DESIGN.md §8).
 constexpr double kHeapAllocsPerPacketBudget = 0.1;
 
 struct PhaseResult {
   double events = 0;          // queue events executed in the window
-  double coalesced = 0;       // completions folded by the burst layer
   std::uint64_t packets = 0;  // steady-state wire frames
   std::uint64_t heap_allocs = 0;
   std::uint64_t tasks_heap = 0;
@@ -114,9 +111,8 @@ PhaseResult measure(Scenario& s, std::uint16_t port) {
   // Warmup: establish flows, settle conntrack, and fill the packet pool and
   // event-queue slot free lists so the measured window is steady state.  The
   // RR phase runs before the window too: ping-pong traffic is serial by
-  // construction (one packet in flight), so it exercises the datapath but
-  // carries no burst opportunity — the steady-state measurement is the
-  // saturating stream, where batching matters on real NICs as well.
+  // construction (one packet in flight), so the steady-state measurement is
+  // the saturating stream.
   np.run_udp_rr(256, sim::milliseconds(20));
   const auto rr = np.run_udp_rr(256, sim::milliseconds(150));
 
@@ -125,7 +121,6 @@ PhaseResult measure(Scenario& s, std::uint16_t port) {
   net::PacketPool::reset_frames_cloned();
   sim::InlineTask::reset_heap_fallbacks();
   const auto ev0 = engine.events_executed();
-  const auto co0 = engine.events_coalesced();
   g_heap_allocs.store(0, std::memory_order_relaxed);
   g_counting.store(true, std::memory_order_relaxed);
   const auto st = np.run_tcp_stream(1280, sim::milliseconds(400));
@@ -133,7 +128,6 @@ PhaseResult measure(Scenario& s, std::uint16_t port) {
 
   PhaseResult r;
   r.events = static_cast<double>(engine.events_executed() - ev0);
-  r.coalesced = static_cast<double>(engine.events_coalesced() - co0);
   // A steady-state packet = one wire frame: one MSS-sized segment per
   // delivered stream chunk (ACKs and retransmits ride on the same event
   // chains and are not double-counted).
@@ -149,15 +143,11 @@ PhaseResult measure(Scenario& s, std::uint16_t port) {
   return r;
 }
 
-/// One measured window of `world`.  `batch_size == 1` is the exact
-/// pre-burst datapath; larger values enable kick coalescing and
-/// NAPI-budget polling.
-PhaseResult run_phase(std::uint64_t seed, std::uint32_t batch_size,
-                      World world = World::kNat) {
+/// One measured window of `world`.
+PhaseResult run_phase(std::uint64_t seed, World world) {
   using namespace nestv;
   scenario::TestbedConfig config;
   config.seed = seed;
-  config.costs.batch_size = batch_size;
   if (world == World::kOverlaySlowPath) {
     auto s = scenario::make_cross_vm(scenario::CrossVmMode::kOverlay, 6001,
                                      config);
@@ -172,8 +162,8 @@ PhaseResult run_phase(std::uint64_t seed, std::uint32_t batch_size,
 bool within_budget(const char* world, const PhaseResult& r) {
   if (r.heap_allocs_per_packet() < kHeapAllocsPerPacketBudget) return true;
   std::fprintf(stderr,
-               "FAIL: %.4f heap allocations per steady-state packet at "
-               "batch_size 1 on %s (budget < %.1f)\n",
+               "FAIL: %.4f heap allocations per steady-state packet on "
+               "%s (budget < %.1f)\n",
                r.heap_allocs_per_packet(), world, kHeapAllocsPerPacketBudget);
   return false;
 }
@@ -181,7 +171,6 @@ bool within_budget(const char* world, const PhaseResult& r) {
 void print_phase(const char* label, const PhaseResult& r) {
   std::printf("%s\n", label);
   std::printf("  events executed        %14.0f\n", r.events);
-  std::printf("  events coalesced       %14.0f\n", r.coalesced);
   std::printf("  steady-state packets   %14llu\n",
               static_cast<unsigned long long>(r.packets));
   std::printf("  heap allocations       %14llu  (%.4f per packet)\n",
@@ -207,18 +196,11 @@ int main(int argc, char** argv) {
   const auto seed = bench::parse_args(argc, argv).seed;
 
   std::printf("ablation: engine hot path (steady-state NAT Netperf)\n\n");
-  const auto plain = run_phase(seed, /*batch_size=*/1);
-  const auto batched = run_phase(seed, /*batch_size=*/32);
-  print_phase("batch_size = 1 (pre-burst datapath)", plain);
+  const auto plain = run_phase(seed, World::kNat);
+  print_phase("NAT", plain);
+  const auto overlay = run_phase(seed, World::kOverlaySlowPath);
   std::printf("\n");
-  print_phase("batch_size = 32 (kick coalescing + NAPI polling)", batched);
-  std::printf("\nbatching: %.1f%% of completions coalesced\n",
-              100.0 * batched.coalesced / (batched.events + batched.coalesced));
-  const auto overlay = run_phase(seed, /*batch_size=*/1,
-                                 World::kOverlaySlowPath);
-  std::printf("\n");
-  print_phase("Overlay, ONCache off, batch_size = 1 (VXLAN slow path)",
-              overlay);
+  print_phase("Overlay, ONCache off (VXLAN slow path)", overlay);
 
   bench::JsonReport report("abl_engine_perf", seed);
   report.add("events_sim", plain.events);
@@ -228,14 +210,6 @@ int main(int argc, char** argv) {
   report.add("pool_reuse_ratio", plain.pool_reuse_ratio);
   report.add("rr_transactions", static_cast<double>(plain.rr_transactions));
   report.add("stream_mbps", plain.stream_mbps);
-  report.add("events_sim_batched", batched.events);
-  report.add("events_coalesced_batched", batched.coalesced);
-  report.add("events_logical_batched", batched.events + batched.coalesced);
-  report.add("steady_state_packets_batched",
-             static_cast<double>(batched.packets));
-  report.add("rr_transactions_batched",
-             static_cast<double>(batched.rr_transactions));
-  report.add("stream_mbps_batched", batched.stream_mbps);
   report.set_execution_info(1, 1, {static_cast<std::uint64_t>(plain.events)});
   report.write();
 

@@ -43,10 +43,12 @@ inline int effective_jobs(int jobs) {
 }
 
 /// Maps `fn` over `inputs` on up to `jobs` worker threads and returns the
-/// results in input order.  Each call of `fn` must be self-contained (every
-/// measurement point builds its own Testbed/Engine, and all hot-path
-/// counters — InlineTask fallbacks, PacketPool — are thread-local), so a
-/// parallel sweep produces bit-for-bit the sequential output.
+/// results in input order.  Each call of `fn` must be self-contained: every
+/// measurement point builds its own Testbed/Engine and measures inside a
+/// StatScope.  Thread-local counters alone are not enough — a worker's
+/// PacketPool free list would carry from one point to the next — so the
+/// StatScope empties the pool, and a parallel sweep produces bit-for-bit
+/// the sequential output.
 template <typename In, typename Fn>
 auto parallel_sweep(const std::vector<In>& inputs, int jobs, Fn fn)
     -> std::vector<decltype(fn(inputs[0]))> {
@@ -90,12 +92,12 @@ inline const std::vector<std::uint32_t>& message_sizes() {
 }
 
 /// Per-run datapath statistics emitted into every bench's JSON: engine
-/// events, packet-pool traffic and deep frame copies.  All counters are
-/// engine-local or thread-local, so points measured on a parallel sweep
-/// produce the same numbers as a sequential run.
+/// events, packet-pool traffic and deep frame copies.  The counters are
+/// engine-local or thread-local, and every point starts from an empty pool
+/// (StatScope), so points measured on a parallel sweep produce the same
+/// numbers as a sequential run.
 struct DatapathStats {
   std::uint64_t events = 0;           ///< queue events executed
-  std::uint64_t events_coalesced = 0; ///< completions folded by the burst layer
   std::uint64_t pool_fresh = 0;       ///< pool misses (real allocations)
   std::uint64_t pool_reuses = 0;      ///< pool hits
   std::uint64_t frames_cloned = 0;    ///< deep EthernetFrame copies
@@ -103,7 +105,6 @@ struct DatapathStats {
 
   DatapathStats& operator+=(const DatapathStats& o) {
     events += o.events;
-    events_coalesced += o.events_coalesced;
     pool_fresh += o.pool_fresh;
     pool_reuses += o.pool_reuses;
     frames_cloned += o.frames_cloned;
@@ -112,22 +113,26 @@ struct DatapathStats {
   }
 };
 
-/// Snapshots the thread-local pool counters at construction; finish()
-/// returns the deltas plus the engine's event counters.  Construct before
-/// building the Testbed so setup traffic is included consistently.
+/// Empties the thread-local pool and snapshots its counters at
+/// construction; finish() returns the deltas plus the engine's event
+/// counter.  Construct before building the Testbed so setup traffic is
+/// included consistently.  The trim makes a point's pool traffic
+/// independent of whichever points ran before it on the same thread.
 class StatScope {
  public:
-  StatScope()
-      : fresh0_(net::PacketPool::local().fresh_allocs()),
-        reuse0_(net::PacketPool::local().reuses()),
-        cloned0_(net::PacketPool::frames_cloned()) {}
+  StatScope() {
+    auto& pool = net::PacketPool::local();
+    pool.trim();
+    fresh0_ = pool.fresh_allocs();
+    reuse0_ = pool.reuses();
+    cloned0_ = net::PacketPool::frames_cloned();
+  }
 
   [[nodiscard]] DatapathStats finish(sim::Engine& engine,
                                      std::uint64_t packets) const {
     auto& pool = net::PacketPool::local();
     DatapathStats s;
     s.events = engine.events_executed();
-    s.events_coalesced = engine.events_coalesced();
     s.pool_fresh = pool.fresh_allocs() - fresh0_;
     s.pool_reuses = pool.reuses() - reuse0_;
     s.frames_cloned = net::PacketPool::frames_cloned() - cloned0_;
@@ -136,9 +141,9 @@ class StatScope {
   }
 
  private:
-  std::uint64_t fresh0_;
-  std::uint64_t reuse0_;
-  std::uint64_t cloned0_;
+  std::uint64_t fresh0_ = 0;
+  std::uint64_t reuse0_ = 0;
+  std::uint64_t cloned0_ = 0;
 };
 
 /// App-level packets of one Netperf point: request+response per RR
@@ -158,7 +163,6 @@ inline void add_datapath_stats(JsonReport& report, const DatapathStats& s) {
       s.packets ? static_cast<double>(s.packets) : 1.0;
   report.add("packets_total", static_cast<double>(s.packets));
   report.add("events_total", static_cast<double>(s.events));
-  report.add("events_coalesced", static_cast<double>(s.events_coalesced));
   report.add("events_per_packet", static_cast<double>(s.events) / packets);
   report.add("pool_fresh_allocs", static_cast<double>(s.pool_fresh));
   report.add("pool_reuses", static_cast<double>(s.pool_reuses));

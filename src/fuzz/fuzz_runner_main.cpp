@@ -4,7 +4,7 @@
 // fails; --minimize additionally shrinks each failure and emits a
 // self-contained regression test into the corpus directory.
 //
-// --inject-bug {shards|lookahead|batch|flowcache|faststack|oncache} flips
+// --inject-bug {shards|lookahead|flowcache|faststack|oncache} flips
 // the matching test hook and
 // INVERTS the exit semantics: the run succeeds (exit 0) only if at least
 // one seed in the range makes the oracle detect the injected divergence.
@@ -36,7 +36,7 @@ struct Options {
   bool minimize = false;
   bool quiet = false;
   std::string out_dir = "tests/fuzz_corpus";
-  std::string inject;  // "", "shards", "lookahead", "batch", "flowcache",
+  std::string inject;  // "", "shards", "lookahead", "flowcache",
                        // "faststack", "oncache"
 };
 
@@ -57,7 +57,7 @@ bool parse_seeds(const std::string& arg, Options& opt) {
                "fuzz_runner: %s\n"
                "usage: fuzz_runner [--seeds A..B] [--time-budget S] "
                "[--minimize] [--out-dir DIR] [--inject-bug "
-               "shards|lookahead|batch|flowcache|faststack|oncache] "
+               "shards|lookahead|flowcache|faststack|oncache] "
                "[--quiet]\n",
                msg);
   std::exit(2);
@@ -69,8 +69,6 @@ bool apply_injection(const std::string& name) {
     hooks::unkeyed_wire_delivery = true;
   } else if (name == "lookahead") {
     hooks::lookahead_matrix_overrun = true;
-  } else if (name == "batch") {
-    hooks::force_virtio_batching = true;
   } else if (name == "flowcache") {
     hooks::skip_flowcache_rule_invalidation = true;
   } else if (name == "faststack") {
@@ -86,7 +84,6 @@ bool apply_injection(const std::string& name) {
 std::uint32_t injection_oracle_mask(const std::string& name) {
   if (name == "shards") return nestv::fuzz::kOracleShards;
   if (name == "lookahead") return nestv::fuzz::kOracleShards;
-  if (name == "batch") return nestv::fuzz::kOracleBatch;
   if (name == "flowcache") return nestv::fuzz::kOracleFlowcache;
   if (name == "faststack") return nestv::fuzz::kOracleBackend;
   if (name == "oncache") return nestv::fuzz::kOracleOncache;

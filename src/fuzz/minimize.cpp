@@ -11,7 +11,6 @@ namespace {
 
 std::uint32_t oracle_bit(const std::string& oracle) {
   if (oracle == "shards") return kOracleShards;
-  if (oracle == "batch") return kOracleBatch;
   if (oracle == "flowcache") return kOracleFlowcache;
   if (oracle == "backend") return kOracleBackend;
   if (oracle == "oncache") return kOracleOncache;
@@ -21,7 +20,6 @@ std::uint32_t oracle_bit(const std::string& oracle) {
 const char* hook_symbol(const std::string& hook) {
   if (hook == "shards") return "unkeyed_wire_delivery";
   if (hook == "lookahead") return "lookahead_matrix_overrun";
-  if (hook == "batch") return "force_virtio_batching";
   if (hook == "flowcache") return "skip_flowcache_rule_invalidation";
   if (hook == "faststack") return "faststack_dup_udp_delivery";
   if (hook == "oncache") return "skip_oncache_rule_invalidation";

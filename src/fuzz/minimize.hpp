@@ -34,7 +34,7 @@ struct MinimizeResult {
 
 /// Writes a self-contained regression test for the minimized case to
 /// `path`.  `inject_hook` names the test hook that provoked the failure
-/// ("shards", "batch", "flowcache") or is empty for an organic failure.
+/// ("shards", "flowcache", ...) or is empty for an organic failure.
 /// Returns false when the file cannot be written.
 bool emit_corpus_test(const CaseSpec& spec, const std::string& oracle,
                       const std::string& inject_hook,

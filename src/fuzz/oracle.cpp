@@ -63,7 +63,7 @@ CaseResult run_case(const CaseSpec& spec) {
   };
 
   // The reference run every oracle compares against: sequential engine,
-  // unbatched datapath, no flowcache, default burst knobs.
+  // no flowcache.
   RunShape base;
   base.label = "A";
   const WorldResult a = run(base);
@@ -81,31 +81,6 @@ CaseResult run_case(const CaseSpec& spec) {
                  out);
   }
 
-  if (spec.oracle_mask & kOracleBatch) {
-    // batch_size==1 is the master switch: the burst knobs must be dead.
-    RunShape c;
-    c.napi = plan.hostile_napi;
-    c.kick = plan.hostile_kick;
-    c.label = "C";
-    const WorldResult rc = run(c);
-    absorb_invariants(rc, "C(batch=1,hostile-knobs)", out);
-    check_strict(a, "A(batch=1)", rc, "C(batch=1,hostile-knobs)", "batch",
-                 out);
-
-    RunShape d;
-    d.batch = plan.batch;
-    d.label = "D";
-    const WorldResult rd = run(d);
-    absorb_invariants(rd, "D(batch=" + std::to_string(d.batch) + ")", out);
-    check_semantic(a, "A(batch=1)",
-                   rd, "D(batch=" + std::to_string(d.batch) + ")", "batch",
-                   out);
-    // In-process re-runnability: the batched shape reproduces itself.
-    const WorldResult rd2 = run(d);
-    absorb_invariants(rd2, "D-rerun", out);
-    check_strict(rd, "D", rd2, "D-rerun", "batch", out);
-  }
-
   if (spec.oracle_mask & kOracleFlowcache) {
     RunShape e;
     e.flowcache = true;
@@ -118,7 +93,6 @@ CaseResult run_case(const CaseSpec& spec) {
     RunShape f;
     f.shards = plan.alt_shards;
     f.workers = plan.alt_workers;
-    f.batch = plan.batch;
     f.flowcache = true;
     f.label = "F";
     const WorldResult rf = run(f);

@@ -6,15 +6,8 @@
 //
 //   shards     shards=alt_shards (alt_workers threads) is STRICTLY equal
 //              to shards=1 — the conservative-PDES determinism claim.
-//   batch      (a) batch_size=1 with hostile burst knobs is STRICTLY
-//              equal to the default-knob run: batch_size==1 is the master
-//              switch, so napi_budget / virtio_kick must be dead; and
-//              (b) batch_size>1 is SEMANTICALLY equal to batch_size=1
-//              (latency shifts, application outcomes do not), and
-//              re-running the batched shape reproduces it STRICTLY
-//              (in-process re-runnability).
 //   flowcache  flowcache=on is SEMANTICALLY equal to flowcache=off, and
-//              the combined shape (shards=alt, batch>1, fc=on) is
+//              the combined shape (shards=alt, fc=on) is
 //              STRICTLY reproduced by its shards=1 twin.
 //   backend    pods on FastPathStack are SEMANTICALLY equal to pods on
 //              the full stack (the StackBackend seam must not change
@@ -39,14 +32,14 @@
 
 namespace nestv::fuzz {
 
+// Bit 1 belonged to a retired oracle; the others keep their values because
+// corpus repros hard-code them.
 inline constexpr std::uint32_t kOracleShards = 1U << 0;
-inline constexpr std::uint32_t kOracleBatch = 1U << 1;
 inline constexpr std::uint32_t kOracleFlowcache = 1U << 2;
 inline constexpr std::uint32_t kOracleBackend = 1U << 3;
 inline constexpr std::uint32_t kOracleOncache = 1U << 4;
 inline constexpr std::uint32_t kOracleAll =
-    kOracleShards | kOracleBatch | kOracleFlowcache | kOracleBackend |
-    kOracleOncache;
+    kOracleShards | kOracleFlowcache | kOracleBackend | kOracleOncache;
 
 /// A reproducible fuzz case: the seed plus the participation masks the
 /// minimizer shrinks, plus which oracles to evaluate.
@@ -58,7 +51,7 @@ struct CaseSpec {
 };
 
 struct Failure {
-  /// "shards", "batch", "flowcache", "backend", "oncache" or "invariant".
+  /// "shards", "flowcache", "backend", "oncache" or "invariant".
   std::string oracle;
   std::string detail;
 };

@@ -217,14 +217,6 @@ FuzzPlan generate_plan(std::uint64_t seed) {
   // ---- execution-shape draws ------------------------------------------
   plan.alt_shards = int(rng.uniform_int(2, std::uint64_t(plan.machines)));
   plan.alt_workers = unsigned(rng.uniform_int(1, 4));
-  {
-    const std::uint32_t napis[] = {1, 2, 3, 8};
-    plan.hostile_napi = napis[rng.uniform_int(0, 3)];
-    const sim::Duration kicks[] = {1, 50, 2000, 99999};
-    plan.hostile_kick = kicks[rng.uniform_int(0, 3)];
-    const std::uint32_t batches[] = {8, 16, 32, 64};
-    plan.batch = batches[rng.uniform_int(0, 3)];
-  }
 
   // ---- appended overlay flow (dedicated sub-stream) ---------------------
   // Drawn entirely from kOverlayStream, after every kPlanStream draw, so
@@ -279,8 +271,7 @@ std::string FuzzPlan::describe() const {
      << " fc_cap=" << costs.flowcache_capacity
      << " standing=" << costs.nf_standing_rules
      << " alt_shards=" << alt_shards << " alt_workers=" << alt_workers
-     << " hostile_napi=" << hostile_napi << " hostile_kick=" << hostile_kick
-     << " batch=" << batch << "\n";
+     << "\n";
   for (std::size_t k = 0; k < flows.size(); ++k) {
     const FlowPlan& f = flows[k];
     os << "  flow" << k << ": " << to_string(f.mode) << " srv=m"

@@ -6,8 +6,8 @@
 // applied only at quiescent wave boundaries), the traffic itself
 // (count-bounded waves, so runs with different timing still agree on
 // application-level outcomes), and the base cost model.  The execution
-// shape a run varies — shard count, worker threads, batch budget, burst
-// knobs, flowcache — lives in world.hpp's RunShape, NOT here; the oracles
+// shape a run varies — shard count, worker threads, flowcache, stack
+// backend, oncache — lives in world.hpp's RunShape, NOT here; the oracles
 // in oracle.cpp pair shapes over one plan.
 //
 // Soundness rules baked into generation (they keep every oracle
@@ -95,16 +95,12 @@ struct FuzzPlan {
   int waves = 1;
   std::vector<FlowPlan> flows;
   std::vector<ActionPlan> actions;
-  /// Base cost model, shared verbatim by every paired run except the
-  /// shape-controlled knobs (batch_size, napi_budget, virtio_kick).
+  /// Base cost model, shared verbatim by every paired run.
   sim::CostModel costs;
 
   // ---- shape draws for this seed (consumed by the oracle pairing) ------
   int alt_shards = 2;        ///< shards oracle: shards=alt vs shards=1
   unsigned alt_workers = 2;
-  std::uint32_t hostile_napi = 3;      ///< batch=1 knob pair
-  sim::Duration hostile_kick = 99999;  ///< batch=1 knob pair
-  std::uint32_t batch = 16;            ///< batched semantic run
 
   /// One-line-per-field human dump (plan-determinism tests, repro logs).
   [[nodiscard]] std::string describe() const;

@@ -110,10 +110,7 @@ WorldResult run_world(const FuzzPlan& plan, const RunShape& shape,
   WorldResult out;
   const std::int64_t pool_before = net::PacketPool::live_nodes();
   {
-    sim::CostModel costs = plan.costs;
-    costs.batch_size = shape.batch;
-    if (shape.napi != 0) costs.napi_budget = shape.napi;
-    if (shape.kick) costs.virtio_kick = *shape.kick;
+    const sim::CostModel& costs = plan.costs;
 
     sim::ShardedConductor conductor(
         shape.shards, vmm::HierarchicalFabric::min_link_latency(costs),

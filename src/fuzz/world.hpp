@@ -13,7 +13,7 @@
 //             compare strict digests.
 //   semantic  application outcomes only (per-flow transactions and
 //             delivered bytes).  Runs with different timing models
-//             (batching on/off, flowcache on/off) compare semantic
+//             (flowcache, oncache or stack backend on/off) compare semantic
 //             digests: latency may move, delivered work may not.
 //
 // The wave machinery is what makes the action schedule sound: a wave is
@@ -24,7 +24,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -39,9 +38,6 @@ namespace nestv::fuzz {
 struct RunShape {
   int shards = 1;
   unsigned workers = 1;
-  std::uint32_t batch = 1;    ///< CostModel::batch_size
-  std::uint32_t napi = 0;     ///< overrides napi_budget when non-zero
-  std::optional<sim::Duration> kick;  ///< overrides virtio_kick when set
   bool flowcache = false;
   /// Pod fragments run net::FastPathStack instead of the full stack.  The
   /// backend oracle compares this shape's *semantic* digest against the

@@ -49,8 +49,8 @@ void Bridge::ingress(EthernetFrame&& frame, int port) {
   fdb_.learn(frame.src, port, engine().now());
   const sim::Duration work =
       guest_level_ ? costs().bridge_pkt_guest : costs().bridge_pkt;
-  // `process_batched` may defer; capture what we need by value.
-  process_batched(work, [this, f = std::move(frame), port]() mutable {
+  // `process` may defer; capture what we need by value.
+  process(work, [this, f = std::move(frame), port]() mutable {
     forward(std::move(f), port);
   });
 }

@@ -86,23 +86,6 @@ bool Device::process(sim::Duration work, sim::InlineTask&& then) {
   return true;
 }
 
-bool Device::process_batched(sim::Duration work, sim::InlineTask&& then) {
-  if (cpu_ == nullptr || costs_->batch_size <= 1) {
-    return process(work, std::move(then));
-  }
-  if (max_backlog_ != 0 && cpu_->busy_until() > engine_->now() &&
-      cpu_->busy_until() - engine_->now() > max_backlog_) {
-    ++dropped_;
-    return false;
-  }
-  if (batch_sink_ == nullptr || &batch_sink_->resource() != cpu_) {
-    batch_sink_ =
-        std::make_unique<sim::BatchSink>(*cpu_, costs_->napi_budget);
-  }
-  batch_sink_->submit_as(cpu_category_, work, std::move(then));
-  return true;
-}
-
 void Device::transmit(int port, EthernetFrame&& frame) {
   assert(port >= 0 && port < port_count());
   PortSlot& slot = ports_[static_cast<std::size_t>(port)];
@@ -113,9 +96,8 @@ void Device::transmit(int port, EthernetFrame&& frame) {
   ++forwarded_;
   if (slot.wire_latency != 0) {
     // Fabric wire: fixed latency, one delivery event per frame whether or
-    // not batching is on and whether or not the peer is on another shard
-    // — identical timing on every path is what makes the shard count (and
-    // batch_size) invisible in the results.
+    // not the peer is on another shard — identical timing on both paths is
+    // what makes the shard count invisible in the results.
     Device* const peer = slot.peer;
     const int peer_port = slot.peer_port;
     auto deliver = [peer, peer_port, f = std::move(frame)]() mutable {
@@ -148,22 +130,6 @@ void Device::transmit(int port, EthernetFrame&& frame) {
     }
     return;
   }
-  if (costs_->batch_size > 1) {
-    // Frames transmitted while a hop event is already in flight join it
-    // (they are in the ring when the receiver's poll fires, at most
-    // hop_latency after their own transmit): one event per wire burst, and
-    // the burst propagates to the next hop.  A batch drain upstream handing
-    // this device a whole burst in one event is the common producer.
-    slot.pending.push_back(std::move(frame));
-    if (slot.hop_armed) {
-      engine_->note_coalesced(1);
-      return;
-    }
-    slot.hop_armed = true;
-    engine_->schedule_in(costs_->hop_latency,
-                         [this, port] { deliver_hop(port); });
-    return;
-  }
   Device* peer = slot.peer;
   const int peer_port = slot.peer_port;
   engine_->schedule_in(
@@ -171,29 +137,6 @@ void Device::transmit(int port, EthernetFrame&& frame) {
       [peer, peer_port, f = std::move(frame)]() mutable {
         peer->ingress(std::move(f), peer_port);
       });
-}
-
-void Device::deliver_hop(int port) {
-  PortSlot& slot = ports_[static_cast<std::size_t>(port)];
-  Device* const peer = slot.peer;
-  const int peer_port = slot.peer_port;
-  assert(!slot.pending.empty());
-  // Deliver exactly the frames queued before this event fired; a hairpin
-  // path re-entering transmit() during the loop queues behind the snapshot
-  // and re-arms its own hop event below.
-  std::size_t n = slot.pending.size();
-  slot.hop_armed = false;
-  while (n-- > 0) {
-    EthernetFrame f = std::move(slot.pending.front());
-    slot.pending.pop_front();
-    peer->ingress_burst(std::move(f), peer_port);
-  }
-  peer->ingress_burst_end(peer_port);
-  if (!slot.pending.empty() && !slot.hop_armed) {
-    slot.hop_armed = true;
-    engine_->schedule_in(costs_->hop_latency,
-                         [this, port] { deliver_hop(port); });
-  }
 }
 
 }  // namespace nestv::net

@@ -8,14 +8,11 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "net/packet.hpp"
-#include "sim/burst_queue.hpp"
 #include "sim/cost_model.hpp"
 #include "sim/cpu.hpp"
 #include "sim/engine.hpp"
@@ -44,9 +41,8 @@ class Device {
   /// Wires port `pa` of `a` to port `pb` of `b`, bidirectionally.
   static void connect(Device& a, int pa, Device& b, int pb);
 
-  /// Wires a fabric link: a physical wire with its own fixed latency that
-  /// never coalesces frames (the NAPI-style burst joining models virtio
-  /// rings, not a cut-through switch wire).  When `conductor` is non-null
+  /// Wires a fabric link: a physical wire with its own fixed latency
+  /// instead of the cost model's hop latency.  When `conductor` is non-null
   /// and the two devices live on different shards, frames become mailbox
   /// posts; the delivery timing is identical either way, which is what
   /// keeps shards=1 and shards=N bit-equal.  `wire_latency` must be at
@@ -57,16 +53,6 @@ class Device {
 
   /// Frame arrives on `port` (after hop latency and any peer processing).
   virtual void ingress(EthernetFrame&& frame, int port) = 0;
-
-  /// Burst delivery from a coalesced hop: the frames of one same-timestamp
-  /// group arrive through this back-to-back, followed by exactly one
-  /// ingress_burst_end().  The default treats each frame as a plain
-  /// ingress; burst-aware receivers (PortBackend) buffer and flush the
-  /// whole train synchronously at the end marker, without an extra event.
-  virtual void ingress_burst(EthernetFrame&& frame, int port) {
-    ingress(std::move(frame), port);
-  }
-  virtual void ingress_burst_end(int port) { (void)port; }
 
   /// Binds per-frame work to a serialized CPU; `category` is the CPU time
   /// bucket charged (e.g. kSoft for bridge/netfilter work in softirq).
@@ -90,13 +76,6 @@ class Device {
   /// frame had to be dropped due to backlog.
   bool process(sim::Duration work, sim::InlineTask&& then);
 
-  /// Batched variant of process(): when the cost model enables bursts
-  /// (batch_size > 1) completions accumulated on the bound CPU share one
-  /// drain event (sim::BatchSink) instead of scheduling one each.  CPU
-  /// accounting and the backlog drop check are identical to process();
-  /// with batching off this IS process().
-  bool process_batched(sim::Duration work, sim::InlineTask&& then);
-
   /// Sends `frame` out of `port`; it reaches the peer after hop latency.
   void transmit(int port, EthernetFrame&& frame);
 
@@ -108,13 +87,8 @@ class Device {
   struct PortSlot {
     Device* peer = nullptr;
     int peer_port = -1;
-    /// Burst mode: frames in flight on this link.  All frames transmitted
-    /// while a hop event is pending ride that event — the receiver picks
-    /// up whatever is in the ring when its poll fires, like a NIC RX ring.
-    sim::BurstQueue<EthernetFrame> pending{};
-    bool hop_armed = false;
-    /// Fabric wire (connect_wire): fixed latency overriding hop_latency,
-    /// exempt from burst coalescing.  0 = ordinary intra-host link.
+    /// Fabric wire (connect_wire): fixed latency overriding hop_latency.
+    /// 0 = ordinary intra-host link.
     sim::Duration wire_latency = 0;
     /// Cross-shard wire: frames are mailed through the conductor from
     /// self_shard to peer_shard instead of scheduled locally.
@@ -130,16 +104,12 @@ class Device {
     std::uint64_t wire_seq = 0;
   };
 
-  /// Delivers every frame queued on `port` before this event fired.
-  void deliver_hop(int port);
-
   sim::Engine* engine_;
   std::string name_;
   const sim::CostModel* costs_;
   std::vector<PortSlot> ports_;
   sim::SerialResource* cpu_ = nullptr;
   sim::CpuCategory cpu_category_ = sim::CpuCategory::kSys;
-  std::unique_ptr<sim::BatchSink> batch_sink_;
   sim::Duration max_backlog_ = sim::milliseconds(5);
   std::uint64_t forwarded_ = 0;
   std::uint64_t dropped_ = 0;

@@ -16,27 +16,11 @@ FastPathStack::~FastPathStack() = default;
 
 // ---- RX path ----------------------------------------------------------------
 
-void FastPathStack::l3_rx(int /*ifindex*/, Packet&& p, RxTrain* train) {
-  if (train != nullptr) {
-    // Pool the whole train into one softirq item: a k-frame burst costs
-    // one event carrying k fused per-packet charges.
-    train->carry += costs_->fastpath_rx_pkt;
-    train->batch.push_back(std::move(p));
-    return;
-  }
+void FastPathStack::l3_rx(int /*ifindex*/, Packet&& p) {
   // The whole pipeline is one fixed charge; demux + L4 run inside it.
   softirq_run(costs_->fastpath_rx_pkt, [this, pkt = std::move(p)]() mutable {
     rx_demux(std::move(pkt));
   });
-}
-
-void FastPathStack::flush_train(RxTrain& train) {
-  if (train.carry == 0 && train.batch.empty()) return;
-  softirq_run(train.carry, [this, b = std::move(train.batch)]() mutable {
-    for (Packet& p : b) rx_demux(std::move(p));
-  });
-  train.carry = 0;
-  train.batch.clear();
 }
 
 void FastPathStack::rx_demux(Packet&& p) {

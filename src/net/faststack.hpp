@@ -20,7 +20,7 @@
 // frames on the wire as FullStack by construction: it interoperates on a
 // shared L2 with full stacks, and the differential fuzz oracle leans on
 // identical neighbour behavior.  This class adds only the fused per-packet
-// pipeline, the oversized-datagram drop and the train pooling.
+// pipeline and the oversized-datagram drop.
 #pragma once
 
 #include <cstdint>
@@ -47,10 +47,8 @@ class FastPathStack : public StackBackend {
   void emit_packet(Packet&& p) override;
 
  private:
-  /// Charges one fused fastpath_rx_pkt per packet; a train pools the
-  /// charges and runs the demux passes back-to-back in one softirq item.
-  void l3_rx(int ifindex, Packet&& p, RxTrain* train) override;
-  void flush_train(RxTrain& train) override;
+  /// Charges one fused fastpath_rx_pkt per packet.
+  void l3_rx(int ifindex, Packet&& p) override;
   /// The fused per-packet pass: locality check, L4 demux, segment handling.
   /// Runs inside a softirq item already charged fastpath_rx_pkt.
   void rx_demux(Packet&& p);

@@ -169,10 +169,6 @@ class Netfilter {
   /// connections so dependent caches can drop their entries.
   std::vector<std::uint64_t> gc(sim::TimePoint now,
                                 sim::Duration idle_timeout);
-  /// Back-compat wrapper around gc() discarding the reaped ids.
-  void expire(sim::TimePoint now, sim::Duration idle_timeout) {
-    (void)gc(now, idle_timeout);
-  }
 
  private:
   HookResult run_nat(Hook h, Packet& p, std::string_view in,

@@ -35,7 +35,7 @@ void CachedBridge::ingress(EthernetFrame&& frame, int port) {
           path.fast_cost +
           static_cast<sim::Duration>(
               c.vxlan_copy_byte * static_cast<double>(frame.wire_bytes()));
-      process_batched(work, [this, path, f = std::move(frame)]() mutable {
+      process(work, [this, path, f = std::move(frame)]() mutable {
         cache_->serve_egress(path, std::move(f));
       });
       return;

@@ -45,41 +45,19 @@ FullStack::~FullStack() = default;
 
 // ---- RX path ----------------------------------------------------------------
 
-void FullStack::l3_rx(int ifindex, Packet&& p, RxTrain* train) {
+void FullStack::l3_rx(int ifindex, Packet&& p) {
   if (gro_enabled_ && forced_resegment_ == 0 && p.proto == L4Proto::kTcp &&
       p.payload_bytes > 0 && !p.inner) {
-    gro_rx(ifindex, std::move(p), train);
+    gro_rx(ifindex, std::move(p));
     return;
   }
-  // Non-GRO packets run their protocol work in submission order behind
-  // whatever charges the train pooled so far.
-  if (train != nullptr) flush_train(*train);
   ip_rx(ifindex, std::move(p));
 }
 
-void FullStack::flush_train(RxTrain& train) {
-  if (train.carry != 0) {
-    softirq_run(train.carry, [] {});
-    train.carry = 0;
-  }
-}
-
-void FullStack::gro_rx(int ifindex, Packet&& p, RxTrain* train) {
+void FullStack::gro_rx(int ifindex, Packet&& p) {
   const ConnKey key{p.src_ip, p.dst_ip, p.src_port, p.dst_port, p.proto};
   auto it = gro_flows_.find(key);
-  // In train mode the per-frame merge charges pool in the train; they must
-  // be submitted before any flush so the flushed packet's protocol work
-  // queues behind them on softirq, same order as per-frame delivery.
-  const auto flush_carry = [this, train] {
-    if (train != nullptr) flush_train(*train);
-  };
-  const auto charge_frame = [this, train] {
-    if (train != nullptr) {
-      train->carry += costs_->gro_pkt;
-    } else {
-      softirq_run(costs_->gro_pkt, [] {});
-    }
-  };
+  const auto charge_frame = [this] { softirq_run(costs_->gro_pkt, [] {}); };
 
   // Merge only strictly in-order continuations below the 64KB IP limit.
   if (it != gro_flows_.end()) {
@@ -89,7 +67,6 @@ void FullStack::gro_rx(int ifindex, Packet&& p, RxTrain* train) {
     if (!contiguous ||
         flow.merged.payload_bytes + p.payload_bytes > 65000 ||
         flow.ifindex != ifindex) {
-      flush_carry();
       gro_flush(key);
       it = gro_flows_.end();
     }
@@ -104,7 +81,6 @@ void FullStack::gro_rx(int ifindex, Packet&& p, RxTrain* train) {
     auto [ins, ok] = gro_flows_.emplace(key, std::move(flow));
     (void)ok;
     if (flush_now) {
-      flush_carry();
       gro_flush(key);
     } else {
       ins->second.flush_timer = engine_->schedule_in(
@@ -122,7 +98,6 @@ void FullStack::gro_rx(int ifindex, Packet&& p, RxTrain* train) {
   ++flow.count;
   charge_frame();
   if (flow.merged.tcp_flags.psh || flow.merged.tcp_flags.fin) {
-    flush_carry();
     gro_flush(key);
   }
 }

@@ -125,15 +125,9 @@ class FullStack : public StackBackend {
   void emit_packet(Packet&& p) override;
 
  private:
-  /// GRO-eligible TCP goes to gro_rx, everything else to ip_rx (behind the
-  /// train's pooled charges).
-  void l3_rx(int ifindex, Packet&& p, RxTrain* train) override;
-  void flush_train(RxTrain& train) override;
-  /// `train`, when non-null (train delivery), pools this frame's gro_pkt
-  /// charge instead of submitting a softirq item per frame; the pooled
-  /// charge is flushed before a merge triggers gro_flush so softirq
-  /// occupancy keeps the per-frame FIFO order.
-  void gro_rx(int ifindex, Packet&& p, RxTrain* train);
+  /// GRO-eligible TCP goes to gro_rx, everything else to ip_rx.
+  void l3_rx(int ifindex, Packet&& p) override;
+  void gro_rx(int ifindex, Packet&& p);
   void gro_flush(const ConnKey& key);
   void ip_rx(int ifindex, Packet&& p);
   void ip_rx_one(int ifindex, Packet&& p);

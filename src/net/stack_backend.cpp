@@ -95,9 +95,6 @@ int StackBackend::add_interface(InterfaceBackend& backend,
   ifaces_.push_back(std::move(itf));
   backend.set_rx(
       [this, ifindex](EthernetFrame&& f) { rx(ifindex, std::move(f)); });
-  backend.set_rx_train([this, ifindex](std::vector<EthernetFrame> fs) {
-    rx_train(ifindex, std::move(fs));
-  });
   if (cfg.subnet.prefix_len() > 0) {
     routes_.add_connected(cfg.subnet, ifindex);
   }
@@ -135,53 +132,23 @@ std::uint32_t StackBackend::egress_gso(Ipv4Address dst) const {
 // ---- L2 receive ----------------------------------------------------------------
 
 void StackBackend::rx(int ifindex, EthernetFrame&& frame) {
-  if (l2_rx(ifindex, iface(ifindex), frame, nullptr)) {
-    l3_rx(ifindex, std::move(frame.packet), nullptr);
-  }
-}
-
-void StackBackend::rx_train(int ifindex, std::vector<EthernetFrame> frames) {
-  if (frames.size() == 1) {
-    rx(ifindex, std::move(frames[0]));
-    return;
-  }
-  const Interface& itf = iface(ifindex);
-  RxTrain train;
-  for (EthernetFrame& frame : frames) {
-    if (l2_rx(ifindex, itf, frame, &train)) {
-      l3_rx(ifindex, std::move(frame.packet), &train);
-    }
-  }
-  flush_train(train);
-}
-
-bool StackBackend::l2_rx(int ifindex, const Interface& itf,
-                         EthernetFrame& frame, RxTrain* train) {
   if (capture_ != nullptr) capture_->record(engine_->now(), frame);
   // MAC filter: frames not for us (Hostlo's reflect-to-all-queues shows
-  // every endpoint every frame) cost a lookup and are dropped here.  In a
-  // train the lookup pools with the other per-frame charges.
+  // every endpoint every frame) cost a lookup and are dropped here.
   if (!frame.dst.is_broadcast() && !frame.dst.is_multicast() &&
-      frame.dst != itf.cfg.mac) {
-    if (train != nullptr) {
-      train->carry += costs_->arp_hit;
-      ++dropped_;
-    } else {
-      softirq_run(costs_->arp_hit, [this] { ++dropped_; });
-    }
-    return false;
+      frame.dst != iface(ifindex).cfg.mac) {
+    softirq_run(costs_->arp_hit, [this] { ++dropped_; });
+    return;
   }
   if (frame.ethertype == 0x0806) {
-    // ARP keeps its FIFO position relative to the train around it.
-    if (train != nullptr) flush_train(*train);
     softirq_run(costs_->arp_hit, [this, ifindex, f = std::move(frame)] {
       handle_arp(ifindex, f);
     });
-    return false;
+    return;
   }
   if (frame.ethertype != 0x0800) {
     ++dropped_;
-    return false;
+    return;
   }
   Packet& p = frame.packet;
   if (nestv_trace_enabled())
@@ -190,7 +157,7 @@ bool StackBackend::l2_rx(int ifindex, const Interface& itf,
                  p.describe().c_str());
   p.ct_id = 0;  // conntrack attachment is per-stack
   p.ct_reply = false;
-  return true;
+  l3_rx(ifindex, std::move(p));
 }
 
 // ---- ARP and L2 transmit -------------------------------------------------------
@@ -325,23 +292,7 @@ void StackBackend::set_icmp_error_handler(
 // ---- softirq / app-resource charging ---------------------------------------
 
 void StackBackend::softirq_run(sim::Duration work, sim::InlineTask&& then) {
-  if (softirq_ == nullptr) {
-    if (work == 0) {
-      then();
-    } else {
-      engine_->schedule_in(work, std::move(then));
-    }
-    return;
-  }
-  if (costs_->batch_size > 1) {
-    if (!softirq_sink_ || &softirq_sink_->resource() != softirq_) {
-      softirq_sink_ =
-          std::make_unique<sim::BatchSink>(*softirq_, costs_->napi_budget);
-    }
-    softirq_sink_->submit_as(sim::CpuCategory::kSoft, work, std::move(then));
-    return;
-  }
-  softirq_->submit_as(sim::CpuCategory::kSoft, work, std::move(then));
+  resource_run(softirq_, sim::CpuCategory::kSoft, work, std::move(then));
 }
 
 void StackBackend::resource_run(sim::SerialResource* res,
@@ -353,20 +304,6 @@ void StackBackend::resource_run(sim::SerialResource* res,
     } else {
       engine_->schedule_in(work, std::move(then));
     }
-    return;
-  }
-  if (costs_->batch_size > 1) {
-    // Submissions cluster by resource (an app's send loop), so a one-entry
-    // cache skips the hash lookup on the hot path.
-    if (res != last_app_res_) {
-      auto& sink = app_sinks_[res];
-      if (!sink) {
-        sink = std::make_unique<sim::BatchSink>(*res, costs_->napi_budget);
-      }
-      last_app_res_ = res;
-      last_app_sink_ = sink.get();
-    }
-    last_app_sink_->submit_as(category, work, std::move(then));
     return;
   }
   res->submit_as(category, work, std::move(then));

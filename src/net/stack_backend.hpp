@@ -1,7 +1,7 @@
 // StackBackend: the pluggable seam between guests and their network stack.
 //
 // Captures the NetworkStack contract — interface attach, the UDP/TCP socket
-// API, rx/rx_train ingress, softirq/app resource binding and the optional
+// API, rx ingress, softirq/app resource binding and the optional
 // netfilter/flowcache hooks — so alternative stacks can slot in behind one
 // interface (NetKernel's "network stack as part of the virtualized
 // infrastructure" argument).  Three backends exist:
@@ -22,9 +22,9 @@
 //     TCP connection ownership: every backend speaks exactly the same
 //     application ABI, and the differential fuzz oracle leans on that to
 //     compare backends end-to-end.
-// A backend supplies only its L3/L4 pipeline: l3_rx and flush_train behind
-// the L2 head, emit_packet, and arp_resolve_and_send (its MTU policy in
-// front of the shared neighbour resolution).
+// A backend supplies only its L3/L4 pipeline: l3_rx behind the L2 head,
+// emit_packet, and arp_resolve_and_send (its MTU policy in front of the
+// shared neighbour resolution).
 //
 // CPU model (unchanged from the pre-seam stack): protocol work runs on the
 // backend's softirq SerialResource charged as kSoft; socket syscall work is
@@ -229,10 +229,7 @@ class StackBackend {
   [[nodiscard]] const sim::CostModel& costs() const { return *costs_; }
   [[nodiscard]] sim::SerialResource* softirq() { return softirq_; }
 
-  /// Runs `work` on `res` then `then`, like SerialResource::submit_as, but
-  /// in burst mode (batch_size > 1) items for the same resource share drain
-  /// events through a per-resource BatchSink — this is how app-side syscall
-  /// pairs (send + its on-sent continuation) stop costing two events each.
+  /// Runs `work` on `res` then `then` (SerialResource::submit_as).
   /// `res == nullptr` degrades to a pure delay, as the call sites did.
   void resource_run(sim::SerialResource* res, sim::CpuCategory category,
                     sim::Duration work, sim::InlineTask&& then);
@@ -285,12 +282,6 @@ class StackBackend {
   /// filter, ARP, non-IPv4 drop), then the backend's l3_rx.
   void rx(int ifindex, EthernetFrame&& frame);
 
-  /// Burst delivery from a batched backend (one virtio NAPI poll cycle):
-  /// the frames traverse the same RX pipeline as rx(), but their per-frame
-  /// softirq charges coalesce into shared softirq items, so a k-frame
-  /// train costs O(1) events instead of O(k).
-  void rx_train(int ifindex, std::vector<EthernetFrame> frames);
-
   /// L4 -> network: routes and transmits (plus OUTPUT/POSTROUTING on
   /// backends that run netfilter).  All processing charges softirq.
   virtual void emit_packet(Packet&& p) = 0;
@@ -324,15 +315,6 @@ class StackBackend {
     std::unordered_map<Ipv4Address, std::vector<Packet>> arp_pending;
   };
 
-  /// Pooled softirq work of one rx_train burst: per-frame charges add to
-  /// `carry`, and flush_train submits them as one softirq item.  `batch`
-  /// holds packets whose protocol pass runs inside that item (the fast
-  /// path's NAPI analogue; FullStack leaves it empty).
-  struct RxTrain {
-    sim::Duration carry = 0;
-    std::vector<Packet> batch;
-  };
-
   [[nodiscard]] Interface& iface(int ifindex) {
     return ifaces_.at(static_cast<std::size_t>(ifindex));
   }
@@ -349,14 +331,8 @@ class StackBackend {
   }
 
   /// The backend's IPv4 ingress behind the shared L2 head (`p.ct_id` is
-  /// already reset).  `train` is null for a single frame (rx); in rx_train
-  /// the backend may pool its per-packet charge there instead of
-  /// submitting a softirq item, flushing it (flush_train) before any work
-  /// that must queue behind the pooled charges.
-  virtual void l3_rx(int ifindex, Packet&& p, RxTrain* train) = 0;
-  /// Submits `train`'s pooled charges (and batch) and resets it; runs
-  /// before an ARP frame of the train and at its end.
-  virtual void flush_train(RxTrain& train) = 0;
+  /// already reset).
+  virtual void l3_rx(int ifindex, Packet&& p) = 0;
 
   /// The backend's L2 output for a routed packet: its MTU policy, then
   /// resolve_or_park + xmit_packet.  Packets parked on ARP re-enter here
@@ -425,17 +401,6 @@ class StackBackend {
   std::string name_;
   const sim::CostModel* costs_;
   sim::SerialResource* softirq_;
-  /// Burst mode: softirq work items (several per packet) share drain events
-  /// instead of scheduling one completion each — the ksoftirqd half of the
-  /// datapath's event coalescing.  Unused when batch_size <= 1.
-  std::unique_ptr<sim::BatchSink> softirq_sink_;
-  /// Burst mode: one BatchSink per app resource submitting through this
-  /// stack (resource_run), with a one-entry lookup cache.  Unused when
-  /// batch_size <= 1.
-  std::unordered_map<sim::SerialResource*, std::unique_ptr<sim::BatchSink>>
-      app_sinks_;
-  sim::SerialResource* last_app_res_ = nullptr;
-  sim::BatchSink* last_app_sink_ = nullptr;
 
   std::map<std::uint16_t, UdpBinding> udp_binds_;
   std::map<std::uint16_t, TcpListener> tcp_listeners_;
@@ -456,13 +421,6 @@ class StackBackend {
   std::uint16_t next_ip_id_ = 1;
   std::uint64_t reassembly_failures_ = 0;
 
- private:
-  /// The L2 head shared by rx and rx_train: capture, MAC filter (charged
-  /// arp_hit; pooled into `train` when non-null), ARP dispatch, non-IPv4
-  /// drop and the per-stack conntrack reset.  True when `frame.packet` is
-  /// an IPv4 packet for l3_rx.
-  bool l2_rx(int ifindex, const Interface& itf, EthernetFrame& frame,
-             RxTrain* train);
 };
 
 /// Constructs a self-contained backend.  Service-hosted stacks are minted

@@ -53,7 +53,7 @@ class StackService {
 
   /// Detaches a tenant mid-run: every non-loopback interface is dead-ended
   /// (parked/queued packets drop) and the stack moves to the retired list.
-  /// Safe with in-flight trains — retired stacks outlive their events.
+  /// Safe with packets in flight — retired stacks outlive their events.
   void detach_guest(StackBackend& stack);
 
   /// The shared worker; callers bind it to their CPU ledger like any other

@@ -24,14 +24,14 @@ void TapDevice::ingress(EthernetFrame&& frame, int port) {
     count_drop();
     return;
   }
-  process_batched(frame_work(frame), [this, f = std::move(frame)]() mutable {
+  process(frame_work(frame), [this, f = std::move(frame)]() mutable {
     ++to_fd_;
     fd_handler_(std::move(f));
   });
 }
 
 void TapDevice::inject(EthernetFrame&& frame) {
-  process_batched(frame_work(frame), [this, f = std::move(frame)]() mutable {
+  process(frame_work(frame), [this, f = std::move(frame)]() mutable {
     ++from_fd_;
     transmit(0, std::move(f));
   });

@@ -18,7 +18,7 @@ void VethEnd::cross(EthernetFrame&& frame) {
       static_cast<sim::Duration>(costs().veth_copy_byte *
                                  static_cast<double>(frame.wire_bytes()));
   VethEnd* twin = twin_;
-  process_batched(work, [twin, f = std::move(frame)]() mutable {
+  process(work, [twin, f = std::move(frame)]() mutable {
     twin->emerge(std::move(f));
   });
 }

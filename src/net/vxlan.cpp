@@ -71,7 +71,7 @@ void VxlanDevice::encap_to(Ipv4Address vtep, EthernetFrame&& inner) {
   // capture it before the frame moves into the closure.
   const std::uint64_t inner_id = inner.packet.packet_id;
   const MacAddress inner_src = inner.src;
-  process_batched(work, [this, vtep, inner_id, inner_src,
+  process(work, [this, vtep, inner_id, inner_src,
                          inner = std::move(inner)]() mutable {
     ++encap_;
     Packet outer;
@@ -116,7 +116,7 @@ void VxlanDevice::on_vtep_datagram(StackBackend::UdpDelivery& d) {
         oncache::IngressKey::of(inner.packet, vni_), d.src_ip);
   }
   // The VTEP is the delivery's sole consumer: steal the inner frame.
-  process_batched(work, [this, f = std::move(*d.inner)]() mutable {
+  process(work, [this, f = std::move(*d.inner)]() mutable {
     ++decap_;
     transmit(0, std::move(f));
   });

@@ -100,7 +100,7 @@ struct CostModel {
   double vhost_copy_byte = 0.09;   ///< copy guest pages <-> tap
   Duration tap_pkt = 250;          ///< tap fd read/write per packet
   double tap_copy_byte = 0.05;
-  /// GRO merge work per coalesced segment at a receiving netdev.
+  /// GRO merge work per merged segment at a receiving netdev.
   Duration gro_pkt = 150;
   /// GRO flush deadline when no PSH terminates a burst (NAPI cycle end).
   Duration gro_timeout = 25000;
@@ -119,22 +119,6 @@ struct CostModel {
   /// tap driver negotiates no offloads and no NAPI-style batching, so the
   /// guest takes one interrupt + ring round-trip per wire frame.
   Duration hostlo_endpoint_pkt = 550;
-
-  // ---- burst datapath (kick coalescing + NAPI polling) ------------------
-  /// Work items a batched resource completion may coalesce behind one
-  /// engine event (sim::BatchSink), and the master switch for the burst
-  /// datapath: 1 disables batching entirely and every component takes the
-  /// exact pre-burst one-event-per-frame code path (CI gates that the
-  /// batch_size=1 run is bit-identical to the unbatched engine).
-  std::uint32_t batch_size = 1;
-  /// Max descriptors drained per virtio kick / NAPI poll cycle; mirrors
-  /// the kernel's net.core netdev_budget per-device cap of 64.
-  std::uint32_t napi_budget = 64;
-  /// Guest->host doorbell (ioeventfd kick) or host->guest interrupt
-  /// injection.  Paid once per burst when batching is on: event
-  /// suppression (VIRTIO_F_EVENT_IDX) elides the per-frame notifications
-  /// that the unbatched model folds into virtio_ring_pkt.
-  Duration virtio_kick = 400;
 
   // ---- fast-path stack (net/faststack; IncludeOS-style fixed pipeline) --
   /// Whole per-packet RX charge of the FastPathStack: MAC filter, compact

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <vector>
 
 #include "sim/event_queue.hpp"
 #include "sim/inline_task.hpp"
@@ -60,20 +59,6 @@ class Engine {
 
   void cancel(EventId id) { queue_.cancel(id); }
 
-  /// Runs `action` synchronously when the current event's callback returns,
-  /// before the clock moves — the softirq-at-irq-exit point.  A burst layer
-  /// uses this to look at everything the event produced (a fully formed
-  /// kick burst) and arm one drain for all of it.  Deferred actions may
-  /// defer further actions; all run in registration order.  Outside the
-  /// event loop the action runs immediately.
-  void defer(InlineTask&& action) {
-    if (!running_) {
-      action();
-      return;
-    }
-    deferred_.push_back(std::move(action));
-  }
-
   /// Runs events until the queue drains.  Returns the number of events run.
   std::uint64_t run();
 
@@ -88,14 +73,6 @@ class Engine {
   [[nodiscard]] std::size_t pending_events() const { return queue_.size(); }
   [[nodiscard]] std::uint64_t events_executed() const { return executed_; }
 
-  /// Completions that pre-burst code would have scheduled as individual
-  /// queue events but the burst layer folded into a shared drain event.
-  /// Kept separate from events_executed() so the queue counter stays a
-  /// pure measure of heap traffic; events_executed() + events_coalesced()
-  /// is the logical-event count comparable across batch_size settings.
-  void note_coalesced(std::uint64_t saved) { coalesced_ += saved; }
-  [[nodiscard]] std::uint64_t events_coalesced() const { return coalesced_; }
-
   /// Past instants schedule_at and schedule_at_keyed moved up to now.  A
   /// keyed clamp is a cross-machine frame that arrived in its engine's
   /// past — under the sharded conductor, a lookahead violation.
@@ -105,23 +82,11 @@ class Engine {
   }
 
  private:
-  // Index loop: deferred actions may push more (vector may reallocate).
-  void run_deferred() {
-    for (std::size_t i = 0; i < deferred_.size(); ++i) {
-      InlineTask t = std::move(deferred_[i]);
-      t();
-    }
-    deferred_.clear();
-  }
-
   EventQueue queue_;
   TimePoint now_ = 0;
   std::uint64_t executed_ = 0;
-  std::uint64_t coalesced_ = 0;
   std::uint64_t clamped_ = 0;
   std::uint64_t clamped_keyed_ = 0;
-  std::vector<InlineTask> deferred_;
-  bool running_ = false;
 };
 
 }  // namespace nestv::sim

@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/burst_queue.hpp"
 #include "sim/cpu.hpp"
 #include "sim/engine.hpp"
 #include "sim/time.hpp"
@@ -49,28 +48,19 @@ class SerialResource {
   }
 
   /// Same, but the charge category is overridden for this item only
-  /// (e.g. softirq work executing on a general-purpose vCPU).
+  /// (e.g. softirq work executing on a general-purpose vCPU).  Every
+  /// simulated CPU charge passes through here: it advances busy_until_,
+  /// accrues busy_time_, charges the bound sinks and schedules `done` at
+  /// the work's end.
   void submit_as(CpuCategory category, Duration work, InlineTask&& done) {
-    engine_->schedule_at(occupy(category, work), std::move(done));
-  }
-
-  /// Accounts `work` on this resource — advances busy_until_, accrues
-  /// busy_time_, charges the bound sinks — WITHOUT scheduling a completion
-  /// event, and returns the instant the work finishes.  submit_as() is
-  /// exactly occupy() + one event at the returned time; BatchSink uses
-  /// occupy() to keep per-item accounting while sharing one drain event
-  /// across a whole burst.
-  TimePoint occupy(CpuCategory category, Duration work) {
     const TimePoint start =
         busy_until_ > engine_->now() ? busy_until_ : engine_->now();
     busy_until_ = start + work;
     busy_time_ += work;
     ++items_;
     charge(category, work);
-    return busy_until_;
+    engine_->schedule_at(busy_until_, std::move(done));
   }
-
-  [[nodiscard]] Engine& engine() const { return *engine_; }
 
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] TimePoint busy_until() const { return busy_until_; }
@@ -108,132 +98,6 @@ class SerialResource {
   TimePoint busy_until_ = 0;
   Duration busy_time_ = 0;
   std::uint64_t items_ = 0;
-};
-
-/// Batched submission onto one SerialResource: work items accumulate into a
-/// burst and share ONE completion event, fired at the burst's end time, that
-/// drains their callbacks in FIFO submission order.  Per-item CPU accounting
-/// is unchanged (each item occupies the resource exactly as submit_as would);
-/// only the completion *events* are coalesced, which is what makes bursts
-/// both a fidelity win (vhost wakes once per kick, not once per frame) and a
-/// simulator wall-clock win (one heap round-trip per burst).
-///
-/// Determinism: the drain event is scheduled through the same (time, seq)
-/// queue as everything else, and the pending queue preserves submission
-/// order, so two runs at the same seed drain identically.  A burst is capped
-/// at `budget` items.  Submission is O(1) with no event-queue traffic at
-/// all: the first item registers an Engine::defer() hook, which fires when
-/// the producing event returns — the burst is fully formed by then — and
-/// arms ONE drain at the burst's last completion (items left over after a
-/// capped drain re-arm the next poll immediately, clamped to "now" —
-/// exactly a NAPI re-poll).
-///
-/// With budget <= 1 every call degenerates to SerialResource::submit_as —
-/// the unbatched engine, bit for bit.
-class BatchSink {
- public:
-  /// `burst_work` (charged as `burst_category`) is an amortized per-burst
-  /// overhead — e.g. one virtio kick — occupied when a burst opens.
-  BatchSink(SerialResource& resource, std::uint32_t budget,
-            Duration burst_work = 0,
-            CpuCategory burst_category = CpuCategory::kSys)
-      : res_(&resource),
-        engine_(&resource.engine()),
-        budget_(budget),
-        burst_work_(burst_work),
-        burst_category_(burst_category) {}
-
-  BatchSink(const BatchSink&) = delete;
-  BatchSink& operator=(const BatchSink&) = delete;
-
-  void submit(Duration work, InlineTask&& done) {
-    submit_as(CpuCategory::kSys, work, std::move(done));
-  }
-
-  void submit_as(CpuCategory category, Duration work, InlineTask&& done) {
-    if (budget_ <= 1) {
-      res_->submit_as(category, work, std::move(done));
-      return;
-    }
-    ++items_;
-    if (!open_) {
-      open_ = true;
-      open_items_ = 0;
-      ++burst_seq_;
-      if (burst_work_ != 0) res_->occupy(burst_category_, burst_work_);
-    }
-    const TimePoint ready = res_->occupy(category, work);
-    pending_.push_back(Pending{ready, burst_seq_, std::move(done)});
-    if (++open_items_ >= budget_) open_ = false;
-    // One outstanding drain at most: while one is pending (or running), new
-    // items just queue — the drain's re-arm picks them up.
-    if (draining_ || armed_) return;
-    armed_ = true;
-    engine_->defer([this] { arm_drain(); });
-  }
-
-  [[nodiscard]] std::uint64_t items_submitted() const { return items_; }
-  [[nodiscard]] std::uint64_t bursts() const { return bursts_; }
-  [[nodiscard]] std::size_t pending() const { return pending_.size(); }
-  [[nodiscard]] SerialResource& resource() const { return *res_; }
-
- private:
-  struct Pending {
-    TimePoint ready;
-    std::uint64_t burst;
-    InlineTask done;
-  };
-
-  /// Runs at the end of the event that queued the burst's first item (or
-  /// the drain that left a remainder): scans the oldest burst — complete by
-  /// now, submissions are synchronous — and schedules its single drain at
-  /// its last item's completion (or immediately, if a capped drain left
-  /// already-finished items behind).  Between the defer and this call no
-  /// other event can run, so `pending_` cannot have shrunk.
-  void arm_drain() {
-    TimePoint deadline = pending_.front().ready;
-    const std::uint64_t b = pending_.front().burst;
-    for (std::size_t k = 1; k < pending_.size() && k < budget_ &&
-                            pending_[k].burst == b;
-         ++k) {
-      deadline = pending_[k].ready;
-    }
-    engine_->schedule_at(deadline, [this] { drain(); });
-  }
-
-  void drain() {
-    armed_ = false;
-    draining_ = true;
-    ++bursts_;
-    const TimePoint now = engine_->now();
-    std::uint32_t n = 0;
-    while (!pending_.empty() && pending_.front().ready <= now &&
-           n < budget_) {
-      InlineTask task = std::move(pending_.front().done);
-      pending_.pop_front();
-      ++n;
-      task();
-    }
-    draining_ = false;
-    if (n > 1) engine_->note_coalesced(n - 1);
-    if (pending_.empty()) return;
-    armed_ = true;
-    engine_->defer([this] { arm_drain(); });
-  }
-
-  SerialResource* res_;
-  Engine* engine_;
-  std::uint32_t budget_;
-  Duration burst_work_;
-  CpuCategory burst_category_;
-  BurstQueue<Pending> pending_;
-  std::uint64_t burst_seq_ = 0;
-  std::uint32_t open_items_ = 0;
-  bool armed_ = false;
-  bool open_ = false;
-  bool draining_ = false;
-  std::uint64_t items_ = 0;
-  std::uint64_t bursts_ = 0;
 };
 
 }  // namespace nestv::sim

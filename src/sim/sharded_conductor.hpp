@@ -57,7 +57,7 @@
 //     carries the equivalence.  Unkeyed mail falls back to
 //     (when, src_shard, post order), which is still thread-independent.
 //   * shards == 1 bypasses the machinery entirely and is the existing
-//     engine, the same way batch_size == 1 is the pre-burst datapath.
+//     engine.
 #pragma once
 
 #include <atomic>

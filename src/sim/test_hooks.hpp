@@ -26,14 +26,6 @@ namespace nestv::sim::test_hooks {
 /// oracle.
 inline bool unkeyed_wire_delivery = false;
 
-/// VirtioNic treats batch_size == 1 as batched: the kick-coalescing /
-/// NAPI datapath runs even though the master switch is off, so the burst
-/// knobs (napi_budget, virtio_kick) leak into batch_size=1 timing.  This
-/// breaks the PR-4 invariant that batch_size=1 with arbitrary burst knobs
-/// is bit-identical to the default cost model.  Caught by the batching
-/// oracle.
-inline bool force_virtio_batching = false;
-
 /// NetworkStack ignores netfilter rule-table mutations instead of flushing
 /// the matching flow-cache entries: a flow whose path was cached before a
 /// DROP rule landed keeps forwarding from the cache.  Caught by the
@@ -74,7 +66,6 @@ inline bool faststack_dup_udp_delivery = false;
 /// Restores every hook to its production value.
 inline void reset() {
   unkeyed_wire_delivery = false;
-  force_virtio_batching = false;
   skip_flowcache_rule_invalidation = false;
   skip_oncache_rule_invalidation = false;
   skip_oncache_vtep_invalidation = false;

@@ -48,15 +48,6 @@ void HostloTap::rx_from_queue(int from_queue, net::EthernetFrame&& frame) {
     }
   };
   if (host_kernel_ != nullptr) {
-    if (costs_->batch_size > 1) {
-      if (reflect_sink_ == nullptr) {
-        reflect_sink_ = std::make_unique<sim::BatchSink>(
-            *host_kernel_, costs_->napi_budget);
-      }
-      reflect_sink_->submit_as(sim::CpuCategory::kSys, work,
-                               std::move(reflect));
-      return;
-    }
     host_kernel_->submit_as(sim::CpuCategory::kSys, work, std::move(reflect));
   } else {
     engine_->schedule_in(work, std::move(reflect));

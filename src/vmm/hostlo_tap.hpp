@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -55,9 +54,6 @@ class HostloTap {
   const sim::CostModel* costs_;
   sim::SerialResource* host_kernel_;
   std::vector<VirtioNic*> queues_;
-  /// Burst mode (CostModel::batch_size > 1): reflects accumulated on the
-  /// host kernel share one drain event instead of one completion each.
-  std::unique_ptr<sim::BatchSink> reflect_sink_;
   std::uint64_t reflected_ = 0;
   std::uint64_t deliveries_ = 0;
 };

@@ -155,25 +155,6 @@ TEST(FuzzWorld, ReRunnableInProcessWithoutLeaks) {
   EXPECT_EQ(r1.strict.hash(), r2.strict.hash());
 }
 
-TEST(FuzzWorld, UnsetKickRunsThePlanCost) {
-  // A shape that leaves `kick` unset must run the plan's own virtio kick
-  // cost.  The field used to be an unsigned Duration defaulting to -1, so
-  // every batched shape ran with a wrapped kick of ~2^64 ns instead.
-  HookGuard guard;
-  for (std::uint64_t seed = 0; seed < 3; ++seed) {
-    const fuzz::FuzzPlan plan = fuzz::generate_plan(seed);
-    fuzz::RunShape unset;
-    unset.batch = plan.batch;
-    fuzz::RunShape pinned = unset;
-    pinned.kick = plan.costs.virtio_kick;
-    const fuzz::WorldResult a = fuzz::run_world(plan, unset);
-    const fuzz::WorldResult b = fuzz::run_world(plan, pinned);
-    ASSERT_TRUE(a.completed) << "seed " << seed;
-    ASSERT_TRUE(b.completed) << "seed " << seed;
-    EXPECT_EQ(a.strict.first_difference(b.strict), "") << "seed " << seed;
-  }
-}
-
 // ---- oracles: clean engine passes ----------------------------------------
 
 TEST(FuzzOracle, CleanSeedsPass) {
@@ -224,19 +205,6 @@ TEST(FuzzOracle, ShardsOracleCatchesLookaheadMatrixOverrun) {
   }
   EXPECT_TRUE(caught)
       << "no seed in 0..40 exposed the lookahead-matrix overrun";
-}
-
-TEST(FuzzOracle, BatchOracleCatchesForcedBatching) {
-  HookGuard guard;
-  sim::test_hooks::force_virtio_batching = true;
-  bool caught = false;
-  for (std::uint64_t seed = 0; seed < 20 && !caught; ++seed) {
-    fuzz::CaseSpec spec;
-    spec.seed = seed;
-    spec.oracle_mask = fuzz::kOracleBatch;
-    caught = fuzz::run_case(spec).failed("batch");
-  }
-  EXPECT_TRUE(caught) << "no seed in 0..20 exposed forced batching";
 }
 
 TEST(FuzzOracle, FlowcacheOracleCatchesSkippedInvalidation) {

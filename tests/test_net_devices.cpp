@@ -478,7 +478,7 @@ TEST(Netfilter, ExpireRemovesIdleConnections) {
   nf.run_hook(Hook::kPrerouting, p, "", "", 0);
   nf.run_hook(Hook::kPostrouting, p, "", "", 0);
   EXPECT_EQ(nf.conntrack_size(), 1u);
-  nf.expire(sim::seconds(1000), sim::seconds(300));
+  nf.gc(sim::seconds(1000), sim::seconds(300));
   EXPECT_EQ(nf.conntrack_size(), 0u);
 }
 

@@ -1,7 +1,7 @@
 // StackBackend seam tests: the shared link layer once per backend, the
 // fast-path backend end-to-end, capability gating, backend lifecycle
 // (attach/detach mid-run), the stack-as-a-service mode (guests-per-worker=1
-// equivalence, attribution, teardown with in-flight trains) and the SBO
+// equivalence, attribution, teardown with packets in flight) and the SBO
 // callback migration of TcpSocket.
 #include <gtest/gtest.h>
 

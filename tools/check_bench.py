@@ -131,7 +131,7 @@ def main() -> int:
     chk.add_argument("--require-zero", action="append", default=[],
                      metavar="BENCH.METRIC",
                      help="fail unless this metric is present and exactly 0 "
-                          "(e.g. abl_batching.batch1_equivalence_max_delta)")
+                          "(e.g. abl_macro_scale.shards1_equivalence_max_delta)")
 
     dif = sub.add_parser("diff")
     dif.add_argument("dir_a")
