@@ -49,7 +49,7 @@ void Bridge::ingress(EthernetFrame&& frame, int port) {
   fdb_.learn(frame.src, port, engine().now());
   const sim::Duration work =
       guest_level_ ? costs().bridge_pkt_guest : costs().bridge_pkt;
-  // `process` may defer; capture what we need by value.
+  // `process` runs the callback later; capture what we need by value.
   process(work, [this, f = std::move(frame), port]() mutable {
     forward(std::move(f), port);
   });
